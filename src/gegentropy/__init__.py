@@ -10,11 +10,11 @@ from .exact import (DEFAULT_PRECISION, MIN_PRECISION, ExactEntropy, LogLinear,
                     Rational, dumps_json, entropy_from_json_dict,
                     entropy_to_json_dict, factorize, log_linear_eval,
                     log_linear_from)
-from .gegenbauer import (GegenbauerSpec, TrigRepresentation, eval_trig,
-                         gegenbauer_value, pochhammer, standard_coeff,
+from .gegenbauer import (GegenbauerSpec, gegenbauer_value, pochhammer,
+                         standard_coeff, standard_coeffs,
                          standard_representation, szego_coeffs,
                          szego_representation, zero_angles, zeros)
-from .entropy import (BetaVector, IntegralTable, ROUTE_FAA_DI_BRUNO,
+from .entropy import (IntegralTable, ROUTE_FAA_DI_BRUNO,
                       ROUTE_SERIES_LOG, ROUTE_STANDARD_REP, assemble_entropy,
                       beta_vector, entropy_closed_form, entropy_exact,
                       integrals_faa_di_bruno, integrals_series_log,
@@ -27,7 +27,6 @@ from .quadrature import (QuadratureConfig, ToleranceNotMet, entropy_quadrature,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaVector",
     "DEFAULT_PRECISION",
     "ExactEntropy",
     "GegenbauerSpec",
@@ -40,7 +39,6 @@ __all__ = [
     "ROUTE_SERIES_LOG",
     "ROUTE_STANDARD_REP",
     "ToleranceNotMet",
-    "TrigRepresentation",
     "assemble_entropy",
     "beta_vector",
     "dumps_json",
@@ -49,7 +47,6 @@ __all__ = [
     "entropy_from_json_dict",
     "entropy_quadrature",
     "entropy_to_json_dict",
-    "eval_trig",
     "factorize",
     "gegenbauer_value",
     "integral_I_quadrature",
@@ -64,6 +61,7 @@ __all__ = [
     "orthonormality_quadrature",
     "pochhammer",
     "standard_coeff",
+    "standard_coeffs",
     "standard_representation",
     "szego_coeffs",
     "szego_representation",

@@ -9,7 +9,9 @@ verify     route-equality and quadrature-oracle sweep over a (lambda, n) grid
 
 stdout carries data, stderr diagnostics.  Exit codes: 0 success,
 1 verification failure, 2 usage error.  The environment variable
-GEGENTROPY_PRECISION sets the default decimal precision; flags win.
+GEGENTROPY_PRECISION sets the default output digits of entropy, table and
+integrals; --precision wins.  verify's --precision is the oracle's working
+precision instead: it defaults to MIN_PRECISION and ignores the variable.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import mpmath as mp
 from .exact import (DEFAULT_PRECISION, MIN_PRECISION, ExactEntropy, LogLinear,
                     decimal_string, dumps_json, entropy_to_json_dict)
 from .entropy import (ROUTE_FAA_DI_BRUNO, ROUTE_SERIES_LOG, ROUTE_STANDARD_REP,
-                      assemble_entropy, entropy_closed_form, entropy_exact,
-                      integrals_faa_di_bruno, integrals_series_log,
-                      integrals_standard_rep, normalize_entropy)
+                      assemble_entropy, entropy_exact, integrals_faa_di_bruno,
+                      integrals_series_log, integrals_standard_rep,
+                      normalized_entropy_exact)
 from .gegenbauer import GegenbauerSpec
 from .quadrature import (QuadratureConfig, ToleranceNotMet, entropy_quadrature)
 
@@ -126,14 +128,8 @@ class OutputRecord:
 
 def _entropy_record(spec: GegenbauerSpec, normalized: bool, precision: int,
                     decimal_places: Optional[int] = None) -> OutputRecord:
-    if spec.lam == 0:
-        e = entropy_closed_form(spec, precision)
-        route = "closed-form"
-    else:
-        e = entropy_exact(spec)
-        if normalized:
-            e = normalize_entropy(spec, e)
-        route = ROUTE_SERIES_LOG
+    e = normalized_entropy_exact(spec) if normalized else entropy_exact(spec)
+    route = "closed-form" if spec.lam == 0 else ROUTE_SERIES_LOG
     value = e.evaluate(precision)
     if decimal_places is None:
         dec = decimal_string(value, precision)
@@ -250,7 +246,7 @@ def cmd_verify(args) -> int:
         raise UsageError("--lambda-max and --n-max must be >= 1")
     if args.tol <= 0:
         raise UsageError("--tol must be positive")
-    precision = args.precision if args.precision is not None else 50
+    precision = args.precision if args.precision is not None else MIN_PRECISION
     if precision < MIN_PRECISION:
         raise UsageError(f"precision must be >= {MIN_PRECISION}")
     cfg = QuadratureConfig(target_abs_tol=args.tol / 10,
@@ -345,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n-max", dest="n_max", type=int, required=True)
     pv.add_argument("--tol", type=float, default=1e-8)
     pv.add_argument("--precision", type=int, default=None,
-                    help="quadrature working precision (default 50)")
+                    help="quadrature working precision in decimal digits "
+                         f"(default and minimum {MIN_PRECISION}; "
+                         f"${ENV_PRECISION} is not read)")
     pv.add_argument("--skip-quadrature", action="store_true",
                     help="route-equality checks only")
     pv.set_defaults(func=cmd_verify)

@@ -53,7 +53,8 @@ import mpmath as mp
 
 from .exact import (DEFAULT_PRECISION, ExactEntropy, LogLinear, ZERO,
                     log_linear_from, to_mpf)
-from .gegenbauer import GegenbauerSpec, pochhammer, standard_coeff, szego_coeffs
+from .gegenbauer import (GegenbauerSpec, pochhammer, standard_coeff,
+                         standard_coeffs, szego_coeffs)
 
 ROUTE_SERIES_LOG = "series-log"
 ROUTE_FAA_DI_BRUNO = "faa-di-bruno"
@@ -73,14 +74,6 @@ class IntegralTable:
     route: str
 
 
-@dataclass(frozen=True)
-class BetaVector:
-    """Assembly weights beta_m for m = 1 .. n + lam (index 0 unused)."""
-
-    spec: GegenbauerSpec
-    beta: Tuple[Fraction, ...]
-
-
 def _require_integer_parameter(spec: GegenbauerSpec) -> None:
     if spec.lam < 1:
         raise ValueError(
@@ -88,22 +81,25 @@ def _require_integer_parameter(spec: GegenbauerSpec) -> None:
             "(the Chebyshev-T limit is exposed in normalized form only)")
 
 
-def beta_vector(spec: GegenbauerSpec) -> BetaVector:
-    """Weights of I_1 .. I_{n+lam} in the entropy assembly.
+def beta_vector(spec: GegenbauerSpec) -> Tuple[Fraction, ...]:
+    """Weights beta_0 .. beta_{n+lam} of I_0 .. I_{n+lam} in the assembly.
 
-    beta_m = sum_v a_v (d_{m-v} - d_{m-v-1}) for m < n + lam, relying on the
-    zero windows of standard_coeff, and beta_{n+lam} = -a_{lam-1} d_n.
+    beta_m = sum_v a_v (d_{m-v} - d_{m-v-1}) for 1 <= m < n + lam, with d_j
+    read as 0 for j outside 0..n, and beta_{n+lam} = -a_{lam-1} d_n.  I_0
+    carries its own weight in the assembly, so beta_0 = 0 is unused.
     """
     _require_integer_parameter(spec)
     lam, n = spec.lam, spec.n
     _, alphas = szego_coeffs(spec)
-    d = lambda m: standard_coeff(spec, m)
+    # d_j sits at d[j + lam] for -lam <= j <= n + lam.
+    pad = (Fraction(0),) * lam
+    d = pad + standard_coeffs(spec) + pad
     beta = [Fraction(0)] * (n + lam + 1)
     for m in range(1, n + lam):
-        beta[m] = sum((alphas[v] * (d(m - v) - d(m - v - 1))
+        beta[m] = sum((alphas[v] * (d[m - v + lam] - d[m - v + lam - 1])
                        for v in range(lam)), Fraction(0))
-    beta[n + lam] = -alphas[lam - 1] * d(n)
-    return BetaVector(spec, tuple(beta))
+    beta[n + lam] = -alphas[lam - 1] * d[n + lam]
+    return tuple(beta)
 
 
 def _log_series(coeffs: Dict[int, Fraction], order: int) -> List[Fraction]:
@@ -166,8 +162,8 @@ def integrals_standard_rep(spec: GegenbauerSpec) -> IntegralTable:
     _require_integer_parameter(spec)
     lam, n = spec.lam, spec.n
     order = n + lam
-    r0 = standard_coeff(spec, n)
-    poly = {n - j: standard_coeff(spec, j) / r0 for j in range(n)}
+    d = standard_coeffs(spec)
+    poly = {n - j: d[j] / d[n] for j in range(n)}
     b = _log_series(poly, order)
     return _as_table(spec, b[1:], ROUTE_STANDARD_REP)
 
@@ -241,10 +237,10 @@ def integrals_faa_di_bruno(spec: GegenbauerSpec) -> IntegralTable:
 def assemble_entropy(spec: GegenbauerSpec, table: IntegralTable) -> ExactEntropy:
     """Combine an integral table into E(C_n) = pi * (exact log-linear)."""
     c, alphas = szego_coeffs(spec)
-    bv = beta_vector(spec)
+    beta = beta_vector(spec)
     acc = table.values[0] * (alphas[0] * standard_coeff(spec, 0))
     for m in range(1, spec.n + spec.lam + 1):
-        acc = acc + table.values[m] * bv.beta[m]
+        acc = acc + table.values[m] * beta[m]
     return ExactEntropy(pi_part=acc * (Fraction(-1, 2) * c), plain_part=ZERO)
 
 
@@ -268,20 +264,15 @@ def _complex_power(base: mp.mpc, exponent: int) -> mp.mpc:
 def entropy_closed_form(spec: GegenbauerSpec,
                         precision: int = DEFAULT_PRECISION
                         ) -> Union[ExactEntropy, mp.mpf]:
-    """Independent closed forms for lam in {0, 1, 2, 3}.
+    """Independent closed forms for lam in {1, 2, 3}.
 
-    lam = 0 returns the normalized Chebyshev-T entropy (0 for n = 0, else
-    log 2 - 1); lam = 1, 2 return the exact entropy; lam = 3 returns a
-    high-precision float: its closed form carries surds via the complex
+    lam = 1, 2 return the exact entropy; lam = 3 returns a high-precision
+    float: its closed form carries surds via the complex
     number f = ((n+1)(n+5) + i sqrt(3(n+1)(n+5))) / ((n+1)(n+2)), whose power
     f^(n+1) is evaluated in floating point, keeping this check independent of
     the rational route.
     """
     lam, n = spec.lam, spec.n
-    if lam == 0:
-        if n == 0:
-            return ExactEntropy()
-        return ExactEntropy(plain_part=log_linear_from(1, 2) + LogLinear(Fraction(-1)))
     if lam == 1:
         return ExactEntropy(
             pi_part=LogLinear(Fraction(1, 2) * (Fraction(1, n + 1) - 1)))
@@ -334,9 +325,12 @@ def normalize_entropy(spec: GegenbauerSpec, e: ExactEntropy) -> ExactEntropy:
 
 
 def normalized_entropy_exact(spec: GegenbauerSpec) -> ExactEntropy:
-    """Exact entropy of the orthonormalized polynomial, lam >= 0."""
+    """Exact entropy of the orthonormalized polynomial, lam >= 0.
+
+    For the Chebyshev-T limit lam = 0 it is 0 at n = 0 and log 2 - 1 else.
+    """
     if spec.lam == 0:
-        result = entropy_closed_form(spec)
-        assert isinstance(result, ExactEntropy)
-        return result
+        if spec.n == 0:
+            return ExactEntropy()
+        return ExactEntropy(plain_part=log_linear_from(1, 2) + LogLinear(Fraction(-1)))
     return normalize_entropy(spec, entropy_exact(spec))

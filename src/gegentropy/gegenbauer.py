@@ -1,8 +1,9 @@
 """Gegenbauer (ultraspherical) polynomials C_n^(lam) of integer parameter.
 
 Provides exact coefficients for the two trigonometric representations used by
-the entropy engine, point evaluation (exact rational or high-precision float),
-and zero finding on (-1, 1).
+the entropy engine, a high-precision evaluator theta -> C_n(cos theta) for
+each, point evaluation (exact rational or high-precision float), and zero
+finding on (-1, 1).
 
 Representations, with x = cos(theta):
 
@@ -27,8 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import List, Sequence, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 import mpmath as mp
 
@@ -45,6 +45,10 @@ class GegenbauerSpec:
     n: int
 
     def __post_init__(self):
+        for name, value in (("parameter", self.lam), ("degree", self.n)):
+            # bool is an int subclass, but True is no parameter.
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.lam < 0:
             raise ValueError(f"parameter must be >= 0, got {self.lam}")
         if self.n < 0:
@@ -63,24 +67,22 @@ def pochhammer(a: RationalLike, k: int) -> Fraction:
 
 
 def standard_coeff(spec: GegenbauerSpec, m: int) -> Fraction:
-    """Cosine-series coefficient d_m of the standard representation.
-
-    Returns 0 on the windows -lam < m < 0 and n < m < n + lam, which the
-    entropy assembly relies on when it shifts indices.  Any other m outside
-    0..n is a caller error.
-    """
+    """Cosine-series coefficient d_m of the standard representation, 0 <= m <= n."""
     lam, n = spec.lam, spec.n
-    if 0 <= m <= n:
-        if lam == 0:
-            # Chebyshev-T limit: cos(n t) itself.
-            if n == 0:
-                return Fraction(1)
-            return Fraction(1, 2) if m in (0, n) else Fraction(0)
-        return (pochhammer(lam, m) * pochhammer(lam, n - m)
-                / (math.factorial(m) * math.factorial(n - m)))
-    if -lam < m < 0 or n < m < n + lam:
-        return Fraction(0)
-    raise ValueError(f"coefficient index {m} outside support of {spec}")
+    if not 0 <= m <= n:
+        raise ValueError(f"coefficient index {m} outside 0..{n} for {spec}")
+    if lam == 0:
+        # Chebyshev-T limit: cos(n t) itself.
+        if n == 0:
+            return Fraction(1)
+        return Fraction(1, 2) if m in (0, n) else Fraction(0)
+    return (pochhammer(lam, m) * pochhammer(lam, n - m)
+            / (math.factorial(m) * math.factorial(n - m)))
+
+
+def standard_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, ...]:
+    """The cosine coefficients (d_0, ..., d_n)."""
+    return tuple(standard_coeff(spec, m) for m in range(spec.n + 1))
 
 
 def szego_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, List[Fraction]]:
@@ -98,28 +100,56 @@ def szego_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, List[Fraction]]:
     return c, alphas
 
 
-@dataclass(frozen=True)
-class TrigRepresentation:
-    """A finite trigonometric series for C_n(cos theta).
+def standard_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
+    """theta -> C_n(cos theta) from the cosine series.
 
-    kind "standard": coefficients are the n+1 cosine coefficients, prefactor 1.
-    kind "szego": coefficients are the lam sine coefficients, prefactor c,
-    and the series is divided by (sin theta)^(2 lam - 1).
+    The coefficients are rounded once, at the mpmath precision current at
+    this call.  The sum walks the frequencies n, n-2, ..., -n by
+    cos((k-2)t) = 2 cos(2t) cos(kt) - cos((k+2)t), three trig calls in total.
     """
+    first, *rest = [to_mpf(d) for d in standard_coeffs(spec)]
+    n = spec.n
 
-    kind: str
-    coefficients: Tuple[Fraction, ...]
-    prefactor: Fraction
+    def evaluate(theta):
+        step = 2 * mp.cos(2 * theta)
+        prev = mp.cos((n + 2) * theta)
+        cur = mp.cos(n * theta)
+        total = first * cur
+        for d in rest:
+            prev, cur = cur, step * cur - prev
+            total += d * cur
+        return total
+
+    return evaluate
 
 
-def standard_representation(spec: GegenbauerSpec) -> TrigRepresentation:
-    coeffs = tuple(standard_coeff(spec, m) for m in range(spec.n + 1))
-    return TrigRepresentation("standard", coeffs, Fraction(1))
+def szego_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
+    """theta -> C_n(cos theta) from the szego sine series, lam >= 1.
 
-
-def szego_representation(spec: GegenbauerSpec) -> TrigRepresentation:
+    The coefficients are rounded once, at the mpmath precision current at
+    this call.  The series is divided by (sin theta)^(2 lam - 1), so it is
+    singular at theta = 0 and theta = pi; use the standard form there.
+    """
     c, alphas = szego_coeffs(spec)
-    return TrigRepresentation("szego", tuple(alphas), c)
+    prefactor = to_mpf(c)
+    first, *rest = [to_mpf(a) for a in alphas]
+    n, power = spec.n, 2 * spec.lam - 1
+
+    def evaluate(theta):
+        s = mp.sin(theta)
+        if s == 0:
+            raise ValueError("szego representation is singular at theta = 0, pi")
+        # Ascending frequencies n+1, n+3, ..., by the same ladder as above.
+        step = 2 * mp.cos(2 * theta)
+        prev = mp.sin((n - 1) * theta)
+        cur = mp.sin((n + 1) * theta)
+        total = first * cur
+        for a in rest:
+            prev, cur = cur, step * cur - prev
+            total += a * cur
+        return prefactor * total / s ** power
+
+    return evaluate
 
 
 def gegenbauer_value(spec: GegenbauerSpec, x: Numeric) -> Numeric:
@@ -146,59 +176,6 @@ def gegenbauer_value(spec: GegenbauerSpec, x: Numeric) -> Numeric:
     return cur
 
 
-@lru_cache(maxsize=256)
-def _mpf_coeffs(values: Tuple[Fraction, ...], prec_bits: int) -> Tuple[mp.mpf, ...]:
-    # prec_bits keys the cache to the caller's binary precision.
-    return tuple(to_mpf(v) for v in values)
-
-
-def _cosine_ladder_sum(coeffs: Sequence[mp.mpf], n: int, theta: mp.mpf) -> mp.mpf:
-    """sum_m coeffs[m] * cos((n-2m) theta) via a two-term recurrence.
-
-    cos((k-2)t) = 2 cos(2t) cos(kt) - cos((k+2)t) walks the frequencies
-    n, n-2, ..., -n with three trig calls in total.
-    """
-    step = 2 * mp.cos(2 * theta)
-    prev = mp.cos((n + 2) * theta)
-    cur = mp.cos(n * theta)
-    total = coeffs[0] * cur
-    for m in range(1, n + 1):
-        prev, cur = cur, step * cur - prev
-        total += coeffs[m] * cur
-    return total
-
-
-def _sine_ladder_sum(coeffs: Sequence[mp.mpf], n: int, theta: mp.mpf) -> mp.mpf:
-    """sum_v coeffs[v] * sin((n+2v+1) theta), ascending frequencies."""
-    step = 2 * mp.cos(2 * theta)
-    prev = mp.sin((n - 1) * theta)
-    cur = mp.sin((n + 1) * theta)
-    total = coeffs[0] * cur
-    for v in range(1, len(coeffs)):
-        prev, cur = cur, step * cur - prev
-        total += coeffs[v] * cur
-    return total
-
-
-def eval_trig(rep: TrigRepresentation, spec: GegenbauerSpec, theta) -> mp.mpf:
-    """Evaluate C_n(cos theta) from a trigonometric representation.
-
-    The szego form divides by (sin theta)^(2 lam - 1) and is singular at
-    theta = 0 and theta = pi; callers use the standard form there.
-    """
-    theta = mp.mpf(theta)
-    coeffs = _mpf_coeffs(rep.coefficients, mp.mp.prec)
-    if rep.kind == "standard":
-        return _cosine_ladder_sum(coeffs, spec.n, theta)
-    if rep.kind == "szego":
-        s = mp.sin(theta)
-        if s == 0:
-            raise ValueError("szego representation is singular at theta = 0, pi")
-        total = _sine_ladder_sum(coeffs, spec.n, theta)
-        return to_mpf(rep.prefactor) * total / s ** (2 * spec.lam - 1)
-    raise ValueError(f"unknown representation kind {rep.kind!r}")
-
-
 def zero_angles(spec: GegenbauerSpec, precision: int = DEFAULT_PRECISION) -> List[mp.mpf]:
     """Angles theta in (0, pi) with C_n(cos theta) = 0, ascending.
 
@@ -210,13 +187,8 @@ def zero_angles(spec: GegenbauerSpec, precision: int = DEFAULT_PRECISION) -> Lis
     n = spec.n
     if n == 0:
         return []
-    rep = standard_representation(spec)
     with mp.workdps(precision + 10):
-        coeffs = _mpf_coeffs(rep.coefficients, mp.mp.prec)
-
-        def g(t):
-            return _cosine_ladder_sum(coeffs, n, t)
-
+        g = standard_representation(spec)
         cells = 8 * (n + 1) + 1
         grid = [mp.pi * i / cells for i in range(cells + 1)]
         values = [g(t) for t in grid]

@@ -21,22 +21,22 @@ from typing import Callable, List, Tuple
 
 import mpmath as mp
 
-from .exact import to_mpf
+from .exact import MIN_PRECISION, to_mpf
 from .gegenbauer import (GegenbauerSpec, pochhammer, standard_representation,
-                         zero_angles, _cosine_ladder_sum, _mpf_coeffs)
+                         zero_angles)
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     target_abs_tol: float = 1e-10
-    working_precision: int = 50
+    working_precision: int = MIN_PRECISION
     max_subdivision_depth: int = 10
 
     def __post_init__(self):
         if not self.target_abs_tol > 0:
             raise ValueError("target_abs_tol must be positive")
-        if self.working_precision < 50:
-            raise ValueError("working_precision must be >= 50")
+        if self.working_precision < MIN_PRECISION:
+            raise ValueError(f"working_precision must be >= {MIN_PRECISION}")
 
 
 class ToleranceNotMet(Exception):
@@ -48,14 +48,6 @@ class ToleranceNotMet(Exception):
             f"best estimate {mp.nstr(estimate, 20)}")
         self.estimate = estimate
         self.error = error
-
-
-def _polynomial_on_circle(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
-    """theta -> C_n(cos theta) at the current working precision."""
-    rep = standard_representation(spec)
-    coeffs = _mpf_coeffs(rep.coefficients, mp.mp.prec)
-    n = spec.n
-    return lambda theta: _cosine_ladder_sum(coeffs, n, theta)
 
 
 def _panel_knots(spec: GegenbauerSpec, cfg: QuadratureConfig) -> List[mp.mpf]:
@@ -89,6 +81,22 @@ def _integrate(f, knots: List[mp.mpf], cfg: QuadratureConfig) -> mp.mpf:
     return total
 
 
+def _weighted_integral(spec: GegenbauerSpec, cfg: QuadratureConfig,
+                       integrand: Callable[[mp.mpf, mp.mpf], mp.mpf]) -> mp.mpf:
+    """int_0^pi integrand(C_n(cos t), sin(t)^(2 lam)) dt, split at the zero angles.
+
+    The caller holds cfg's working precision.
+    """
+    poly = standard_representation(spec)
+    two_lam = 2 * spec.lam
+
+    def f(theta):
+        w = mp.sin(theta) ** two_lam if two_lam else mp.mpf(1)
+        return integrand(poly(theta), w)
+
+    return _integrate(f, _panel_knots(spec, cfg), cfg)
+
+
 def entropy_quadrature(spec: GegenbauerSpec,
                        cfg: QuadratureConfig = QuadratureConfig()) -> mp.mpf:
     """Direct estimate of E(C_n^(lam)) within cfg.target_abs_tol.
@@ -96,19 +104,14 @@ def entropy_quadrature(spec: GegenbauerSpec,
     Integrates -C^2 log(C^2) sin(theta)^(2 lam) over (0, pi), split at the
     zero angles where the integrand has its t^2 log t^2 kinks.
     """
+    def integrand(c, w):
+        csq = c * c
+        if csq == 0:
+            return mp.mpf(0)  # limit value of t^2 log t^2
+        return csq * mp.log(csq) * w
+
     with mp.workdps(cfg.working_precision):
-        poly = _polynomial_on_circle(spec)
-        two_lam = 2 * spec.lam
-
-        def f(theta):
-            c = poly(theta)
-            csq = c * c
-            if csq == 0:
-                return mp.mpf(0)  # limit value of t^2 log t^2
-            w = mp.sin(theta) ** two_lam if two_lam else mp.mpf(1)
-            return csq * mp.log(csq) * w
-
-        return -_integrate(f, _panel_knots(spec, cfg), cfg)
+        return -_weighted_integral(spec, cfg, integrand)
 
 
 def integral_I_quadrature(spec: GegenbauerSpec, m: int,
@@ -117,7 +120,7 @@ def integral_I_quadrature(spec: GegenbauerSpec, m: int,
     if not 0 <= m <= spec.n + spec.lam:
         raise ValueError(f"moment index {m} outside 0..{spec.n + spec.lam}")
     with mp.workdps(cfg.working_precision):
-        poly = _polynomial_on_circle(spec)
+        poly = standard_representation(spec)
         # Floor keeps an exact-zero hit finite; the value matches the scale
         # of legitimate evaluations exponentially close to a zero angle.
         floor = mp.mpf(10) ** (-40 * cfg.working_precision)
@@ -129,54 +132,42 @@ def integral_I_quadrature(spec: GegenbauerSpec, m: int,
         return _integrate(f, _panel_knots(spec, cfg), cfg)
 
 
-def _orthonormal_weight_parts(spec: GegenbauerSpec) -> Tuple[Fraction, Fraction]:
-    """(squared normalization s2, rational part K*pi of the weight constant).
+def _orthonormal_scales(spec: GegenbauerSpec) -> Tuple[mp.mpf, mp.mpf]:
+    """(s2, K/pi) at the current precision.
 
     The orthonormalized polynomial is sqrt(s2) * C_n and the probability
-    weight in theta-space is (K/pi) * sin(theta)^(2 lam) d theta.  For the
-    Chebyshev-T limit, s2 degenerates to 2 (n >= 1) or 1 (n = 0) and the
-    weight to 1/pi.
+    weight in theta-space is (K/pi) * sin(theta)^(2 lam) d theta, with the
+    rational K*pi = (lam!)^2 4^lam / (2 lam)!.  For the Chebyshev-T limit, s2
+    degenerates to 2 (n >= 1) or 1 (n = 0) and the weight to 1/pi.
     """
     lam, n = spec.lam, spec.n
     if lam == 0:
-        return (Fraction(2 if n else 1), Fraction(1))
-    s2 = Fraction((n + lam) * math.factorial(n)) / (lam * pochhammer(2 * lam, n))
-    k_pi = Fraction(math.factorial(lam) ** 2 * 4 ** lam, math.factorial(2 * lam))
-    return s2, k_pi
+        s2, k_pi = Fraction(2 if n else 1), Fraction(1)
+    else:
+        s2 = Fraction((n + lam) * math.factorial(n)) / (lam * pochhammer(2 * lam, n))
+        k_pi = Fraction(math.factorial(lam) ** 2 * 4 ** lam, math.factorial(2 * lam))
+    return to_mpf(s2), to_mpf(k_pi) / mp.pi
 
 
 def normalized_entropy_quadrature(spec: GegenbauerSpec,
                                   cfg: QuadratureConfig = QuadratureConfig()) -> mp.mpf:
     """Direct estimate of the orthonormalized entropy within cfg.target_abs_tol."""
     with mp.workdps(cfg.working_precision):
-        poly = _polynomial_on_circle(spec)
-        s2, k_pi = _orthonormal_weight_parts(spec)
-        s2f = to_mpf(s2)
-        weight_const = to_mpf(k_pi) / mp.pi
-        two_lam = 2 * spec.lam
+        s2f, weight_const = _orthonormal_scales(spec)
 
-        def f(theta):
-            gsq = s2f * poly(theta) ** 2
+        def integrand(c, w):
+            gsq = s2f * c ** 2
             if gsq == 0:
                 return mp.mpf(0)
-            w = mp.sin(theta) ** two_lam if two_lam else mp.mpf(1)
             return gsq * mp.log(gsq) * w * weight_const
 
-        return -_integrate(f, _panel_knots(spec, cfg), cfg)
+        return -_weighted_integral(spec, cfg, integrand)
 
 
 def orthonormality_quadrature(spec: GegenbauerSpec,
                               cfg: QuadratureConfig = QuadratureConfig()) -> mp.mpf:
     """int of (orthonormalized C_n)^2 against its weight; exactly 1 when sound."""
     with mp.workdps(cfg.working_precision):
-        poly = _polynomial_on_circle(spec)
-        s2, k_pi = _orthonormal_weight_parts(spec)
-        s2f = to_mpf(s2)
-        weight_const = to_mpf(k_pi) / mp.pi
-        two_lam = 2 * spec.lam
-
-        def f(theta):
-            w = mp.sin(theta) ** two_lam if two_lam else mp.mpf(1)
-            return s2f * poly(theta) ** 2 * w * weight_const
-
-        return _integrate(f, _panel_knots(spec, cfg), cfg)
+        s2f, weight_const = _orthonormal_scales(spec)
+        return _weighted_integral(
+            spec, cfg, lambda c, w: s2f * c ** 2 * w * weight_const)

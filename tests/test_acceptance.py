@@ -14,7 +14,7 @@ import mpmath as mp
 
 from gegentropy import (ExactEntropy, GegenbauerSpec, LogLinear,
                         entropy_closed_form, entropy_exact, entropy_quadrature,
-                        eval_trig, gegenbauer_value, integrals_faa_di_bruno,
+                        gegenbauer_value, integrals_faa_di_bruno,
                         integrals_series_log, integrals_standard_rep,
                         log_linear_from, normalize_entropy,
                         normalized_entropy_exact,
@@ -162,8 +162,8 @@ def test_criterion_7_representation_identity():
                     # scale are zero to working precision.
                     floor = gegenbauer_value(spec, mp.mpf(1)) * mp.mpf("1e-40")
                     for t in grid:
-                        a = eval_trig(std, spec, t)
-                        b = eval_trig(sze, spec, t)
+                        a = std(t)
+                        b = sze(t)
                         scale = max(abs(a), abs(b))
                         if scale > floor:
                             worst = max(worst, abs(a - b) / scale)
@@ -201,11 +201,9 @@ def test_criterion_8_property_suite():
                                  for s in (spec, low1, low2))
                     for i in range(1, 25):
                         t = mp.pi * i / 25
-                        lhs = (2 * (lam - 1) * mp.sin(t) ** 2
-                               * eval_trig(r, spec, t))
-                        rhs = ((2 * lam + n - 1) * mp.cos(t)
-                               * eval_trig(r1, low1, t)
-                               - (n + 2) * eval_trig(r2, low2, t))
+                        lhs = 2 * (lam - 1) * mp.sin(t) ** 2 * r(t)
+                        rhs = ((2 * lam + n - 1) * mp.cos(t) * r1(t)
+                               - (n + 2) * r2(t))
                         scale = max(mp.mpf(1), abs(lhs), abs(rhs))
                         assert abs(lhs - rhs) / scale < 1e-12
 

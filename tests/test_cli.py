@@ -5,6 +5,8 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
+
 import gegentropy.cli as cli
 import gegentropy.entropy
 from gegentropy import (ExactEntropy, IntegralTable, LogLinear, dumps_json,
@@ -210,9 +212,9 @@ class TestVerifyCommand:
         def corrupted(spec):
             bv = real(spec)
             if (spec.lam, spec.n) == (2, 1):
-                beta = list(bv.beta)
+                beta = list(bv)
                 beta[1] = -beta[1]
-                return type(bv)(spec, tuple(beta))
+                return tuple(beta)
             return bv
 
         monkeypatch.setattr(gegentropy.entropy, "beta_vector", corrupted)
@@ -221,8 +223,10 @@ class TestVerifyCommand:
         assert code == 1
         assert "lambda=2 n=1" in out and "FAIL" in out
 
-    def test_route_mismatch_names_entry(self, capsys, monkeypatch):
-        real = cli.integrals_faa_di_bruno
+    @pytest.mark.parametrize("route", ["integrals_faa_di_bruno",
+                                       "integrals_standard_rep"])
+    def test_route_mismatch_names_entry(self, capsys, monkeypatch, route):
+        real = getattr(cli, route)
 
         def corrupted(spec):
             table = real(spec)
@@ -232,7 +236,7 @@ class TestVerifyCommand:
                 return IntegralTable(spec, tuple(values), table.route)
             return table
 
-        monkeypatch.setattr(cli, "integrals_faa_di_bruno", corrupted)
+        monkeypatch.setattr(cli, route, corrupted)
         code, out, _ = run(capsys, "verify", "--lambda-max", "2",
                            "--n-max", "1", "--tol", "1e-8",
                            "--skip-quadrature")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gegentropy import (ExactEntropy, GegenbauerSpec, LogLinear,
                         assemble_entropy, beta_vector, entropy_closed_form,
@@ -26,8 +27,8 @@ def rational_entry(table, m):
 class TestBetaVector:
     def test_out_of_range_zero_and_length(self):
         bv = beta_vector(GegenbauerSpec(3, 4))
-        assert len(bv.beta) == 4 + 3 + 1
-        assert bv.beta[0] == 0
+        assert len(bv) == 4 + 3 + 1
+        assert bv[0] == 0
 
     def test_lambda1_collapses_to_two_terms(self):
         # E(C_n^(1)) = -(1/2)(I_0 - I_{n+1}): all interior weights vanish.
@@ -36,8 +37,8 @@ class TestBetaVector:
             bv = beta_vector(spec)
             c, alphas = szego_coeffs(spec)
             assert c == 1 and alphas[0] * standard_coeff(spec, 0) == 1
-            assert all(bv.beta[m] == 0 for m in range(1, n + 1))
-            assert bv.beta[n + 1] == -1
+            assert all(bv[m] == 0 for m in range(1, n + 1))
+            assert bv[n + 1] == -1
 
     def test_lambda2_effective_weights(self):
         # Effective coefficient of I_m in E is -(1/2) c beta_m; for lam = 2 it
@@ -51,12 +52,12 @@ class TestBetaVector:
             assert front * alphas[0] * standard_coeff(spec, 0) == \
                 -F((n + 1) * (n + 3), 8)
             for m in range(1, n + 2):
-                assert front * bv.beta[m] == F(m, 2)
-            assert front * bv.beta[n + 2] == -F((n + 1) ** 2, 8)
+                assert front * bv[m] == F(m, 2)
+            assert front * bv[n + 2] == -F((n + 1) ** 2, 8)
 
     def test_lambda3_n1_values(self):
         bv = beta_vector(GegenbauerSpec(3, 1))
-        assert bv.beta[1:] == (F(-12, 5), F(-12, 5), F(12, 5), F(-3, 5))
+        assert bv[1:] == (F(-12, 5), F(-12, 5), F(12, 5), F(-3, 5))
 
 
 class TestSeriesLogRoute:
@@ -190,8 +191,8 @@ class TestEntropyExact:
 
 class TestClosedForms:
     def test_lambda0_normalized_constants(self):
-        assert entropy_closed_form(GegenbauerSpec(0, 0)).is_zero()
-        e = entropy_closed_form(GegenbauerSpec(0, 7))
+        assert normalized_entropy_exact(GegenbauerSpec(0, 0)).is_zero()
+        e = normalized_entropy_exact(GegenbauerSpec(0, 7))
         assert e.pi_part.is_zero()
         assert e.plain_part == log_linear_from(1, 2) + LogLinear(F(-1))
 
@@ -273,3 +274,14 @@ class TestNormalization:
     def test_normalized_entropy_exact_lambda0(self):
         e = normalized_entropy_exact(GegenbauerSpec(0, 5))
         assert e.plain_part == log_linear_from(1, 2) + LogLinear(F(-1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=30))
+def test_gibbs_inequality(lam, n):
+    # The normalized entropy is -KL(rho_n || w) <= 0, with equality only at n = 0.
+    e = normalized_entropy_exact(GegenbauerSpec(lam, n))
+    if n == 0:
+        assert e.is_zero()
+    else:
+        assert e.evaluate(50) < 0
