@@ -265,11 +265,11 @@ def cmd_verify(args) -> int:
                         failures.append(
                             f"route mismatch lambda={lam} n={n} m={m} "
                             f"({reference.route} vs {other.route})")
-            exact = assemble_entropy(spec, reference)
             status = "routes=ok" if route_ok else "routes=FAIL"
             if args.skip_quadrature:
                 print(f"lambda={lam} n={n} {status} quad=skipped")
                 continue
+            exact = assemble_entropy(spec, reference)
             try:
                 oracle = entropy_quadrature(spec, cfg)
                 with mp.workdps(precision):

@@ -208,20 +208,16 @@ def decimal_string(x: mp.mpf, precision: int) -> str:
 # JSON interchange.  Rationals travel as exact "p/q" strings, never floats.
 # ---------------------------------------------------------------------------
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _log_list(v: LogLinear) -> list:
-    return [{"prime": p, "coeff": _frac_str(e)} for p, e in v.log_terms.items()]
+    return [{"prime": p, "coeff": str(e)} for p, e in v.log_terms.items()]
 
 
 def entropy_to_json_dict(e: ExactEntropy, precision: int = DEFAULT_PRECISION) -> dict:
     return {
         "pi_log": _log_list(e.pi_part),
-        "pi_const": _frac_str(e.pi_part.constant),
+        "pi_const": str(e.pi_part.constant),
         "plain_log": _log_list(e.plain_part),
-        "plain_const": _frac_str(e.plain_part.constant),
+        "plain_const": str(e.plain_part.constant),
         "decimal": decimal_string(e.evaluate(precision), precision),
     }
 

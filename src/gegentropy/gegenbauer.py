@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import mpmath as mp
 
@@ -100,27 +100,56 @@ def szego_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, List[Fraction]]:
     return c, alphas
 
 
+def _ladder(weights: List[mp.mpf], start: int, stride: int,
+            wave: Callable[[mp.mpf], mp.mpf]) -> Callable[[mp.mpf], mp.mpf]:
+    """theta -> sum_k weights[k] * wave((start + k stride) theta), stride +-2.
+
+    cos and sin share the three-term recurrence
+    wave((k+2)t) + wave((k-2)t) = 2 cos(2t) wave(kt), so the sum costs three
+    trig calls whatever its length.
+    """
+    first, *rest = weights
+
+    def evaluate(theta):
+        step = 2 * mp.cos(2 * theta)
+        prev = wave((start - stride) * theta)
+        cur = wave(start * theta)
+        total = first * cur
+        for w in rest:
+            prev, cur = cur, step * cur - prev
+            total += w * cur
+        return total
+
+    return evaluate
+
+
+def _folded_weights(spec: GegenbauerSpec) -> List[mp.mpf]:
+    """Weights of cos(n t), cos((n-2) t), ..., cos(t) or 1 in C_n(cos t).
+
+    d_m = d_{n-m} pairs the frequencies n-2m and -(n-2m), so each pair
+    weighs 2 d_m; for even n the middle d_{n/2} stands alone.
+    """
+    d = standard_coeffs(spec)
+    half = (spec.n + 1) // 2
+    weights = [2 * to_mpf(dm) for dm in d[:half]]
+    if spec.n % 2 == 0:
+        weights.append(to_mpf(d[half]))
+    return weights
+
+
 def standard_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
     """theta -> C_n(cos theta) from the cosine series.
 
     The coefficients are rounded once, at the mpmath precision current at
-    this call.  The sum walks the frequencies n, n-2, ..., -n by
-    cos((k-2)t) = 2 cos(2t) cos(kt) - cos((k+2)t), three trig calls in total.
+    this call.  The sum walks the folded frequencies n, n-2, ..., 1 or 0.
     """
-    first, *rest = [to_mpf(d) for d in standard_coeffs(spec)]
-    n = spec.n
+    return _ladder(_folded_weights(spec), spec.n, -2, mp.cos)
 
-    def evaluate(theta):
-        step = 2 * mp.cos(2 * theta)
-        prev = mp.cos((n + 2) * theta)
-        cur = mp.cos(n * theta)
-        total = first * cur
-        for d in rest:
-            prev, cur = cur, step * cur - prev
-            total += d * cur
-        return total
 
-    return evaluate
+def _standard_slope(n: int, weights: List[mp.mpf]) -> Callable[[mp.mpf], mp.mpf]:
+    """theta -> d/dtheta of the folded cosine ladder: its sine ladder."""
+    return _ladder([-(n - 2 * k) * w for k, w in enumerate(weights)],
+                   n, -2, mp.sin)
 
 
 def szego_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
@@ -132,22 +161,15 @@ def szego_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
     """
     c, alphas = szego_coeffs(spec)
     prefactor = to_mpf(c)
-    first, *rest = [to_mpf(a) for a in alphas]
-    n, power = spec.n, 2 * spec.lam - 1
+    # Ascending frequencies n+1, n+3, ...
+    series = _ladder([to_mpf(a) for a in alphas], spec.n + 1, 2, mp.sin)
+    power = 2 * spec.lam - 1
 
     def evaluate(theta):
         s = mp.sin(theta)
         if s == 0:
             raise ValueError("szego representation is singular at theta = 0, pi")
-        # Ascending frequencies n+1, n+3, ..., by the same ladder as above.
-        step = 2 * mp.cos(2 * theta)
-        prev = mp.sin((n - 1) * theta)
-        cur = mp.sin((n + 1) * theta)
-        total = first * cur
-        for a in rest:
-            prev, cur = cur, step * cur - prev
-            total += a * cur
-        return prefactor * total / s ** power
+        return prefactor * series(theta) / s ** power
 
     return evaluate
 
@@ -176,27 +198,79 @@ def gegenbauer_value(spec: GegenbauerSpec, x: Numeric) -> Numeric:
     return cur
 
 
+#: Newton steps allowed per zero before the bracket is bisected instead.
+_NEWTON_STEPS = 30
+
+
+def _newton(g, slope, a, b, fa, fb, tol) -> Optional[mp.mpf]:
+    """Newton's root of g in the sign-change bracket [a, b], or None.
+
+    Starts from the secant point.  The root is accepted only if every step
+    stays in the bracket and g changes sign across root -+ tol/2.
+    """
+    t = a + (b - a) * fa / (fa - fb)
+    for _ in range(_NEWTON_STEPS):
+        s = slope(t)
+        if s == 0:
+            return None
+        dt = g(t) / s
+        t -= dt
+        if not a <= t <= b:
+            return None
+        if abs(dt) <= tol:
+            break
+    else:
+        return None
+    if g(t - tol / 2) * g(t + tol / 2) > 0:
+        return None
+    return t
+
+
+def _bisect(g, a, b, fa, tol) -> mp.mpf:
+    """Midpoint of the sign-change bracket (a, b) halved to width tol."""
+    while b - a > tol:
+        mid = (a + b) / 2
+        fm = g(mid)
+        if fm == 0:
+            return mid
+        if fa * fm < 0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    return (a + b) / 2
+
+
 def zero_angles(spec: GegenbauerSpec, precision: int = DEFAULT_PRECISION) -> List[mp.mpf]:
     """Angles theta in (0, pi) with C_n(cos theta) = 0, ascending.
 
-    Sign changes of the standard representation are bracketed on a uniform
-    grid of 8(n+1) interior points and bisected to width 10^(2-precision).
-    The trig form is uniformly well conditioned on the circle, so no
-    eigenvalue machinery is needed.
+    C_n(cos(pi - t)) = (-1)^n C_n(cos t), so only (0, pi/2) is searched:
+    sign changes of the standard representation are bracketed on a uniform
+    grid of step pi/(8n+9), each bracket is polished by Newton steps (the
+    derivative is the sine ladder of the same coefficients) to within
+    10^(2-precision), and the bracket is bisected to that width instead when
+    Newton leaves it or misses the sign change.  pi/2 is a zero for odd n;
+    the zeros above it are the mirror images pi - t.  The trig form is
+    uniformly well conditioned on the circle, so no eigenvalue machinery is
+    needed.
     """
     n = spec.n
     if n == 0:
         return []
     with mp.workdps(precision + 10):
-        g = standard_representation(spec)
+        weights = _folded_weights(spec)
+        g = _ladder(weights, n, -2, mp.cos)
+        slope = _standard_slope(n, weights)
+        # The points pi i / (8n+9) of the full-range grid below pi/2, which
+        # miss the zeros of T_n and U_n and put pi/2 mid-cell; pi/2 itself
+        # closes the grid for even n, and is the known zero for odd n.
         cells = 8 * (n + 1) + 1
-        grid = [mp.pi * i / cells for i in range(cells + 1)]
+        grid = [mp.pi * i / cells for i in range(cells // 2 + 1)]
+        if n % 2 == 0:
+            grid.append(mp.pi / 2)
         values = [g(t) for t in grid]
         tol = mp.mpf(10) ** (2 - precision)
         found: List[mp.mpf] = []
-        for i in range(cells):
-            a, b = grid[i], grid[i + 1]
-            fa, fb = values[i], values[i + 1]
+        for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]):
             if fa == 0:
                 # Grid hit a zero exactly (practically unreachable in binary).
                 if not found or a - found[-1] > tol:
@@ -204,21 +278,14 @@ def zero_angles(spec: GegenbauerSpec, precision: int = DEFAULT_PRECISION) -> Lis
                 continue
             if fa * fb >= 0:
                 continue
-            while b - a > tol:
-                mid = (a + b) / 2
-                fm = g(mid)
-                if fm == 0:
-                    a = b = mid
-                    break
-                if fa * fm < 0:
-                    b, fb = mid, fm
-                else:
-                    a, fa = mid, fm
-            found.append((a + b) / 2)
-        if len(found) != n:
+            root = _newton(g, slope, a, b, fa, fb, tol)
+            found.append(_bisect(g, a, b, fa, tol) if root is None else root)
+        if len(found) != n // 2:
             raise RuntimeError(
-                f"expected {n} zeros for {spec}, bracketed {len(found)}")
-        return found
+                f"expected {n // 2} zeros of {spec} in (0, pi/2), "
+                f"bracketed {len(found)}")
+        middle = [mp.pi / 2] if n % 2 else []
+        return found + middle + [mp.pi - t for t in reversed(found)]
 
 
 def zeros(spec: GegenbauerSpec, precision: int = DEFAULT_PRECISION) -> List[mp.mpf]:

@@ -5,11 +5,16 @@ integrands are built from the standard trigonometric representation: its
 coefficients are uniformly bounded on the circle, unlike the x-space weight
 (1-x^2)^(lam-1/2), which is singularity-prone at the endpoints.
 
-The integrands are smooth except at the zero angles of C_n, where they behave
-like t^2 log t (entropy weights) or log t (bare log moments).  [0, pi] is
-split at those angles and each panel is handled by a tanh-sinh rule, which
-absorbs endpoint singularities of exactly this kind; a panel whose error
-estimate exceeds its share of the budget is bisected recursively.
+Every integrand is symmetric about pi/2, since C_n(cos(pi - t))^2 =
+C_n(cos t)^2 and sin t and cos(2mt) are, so each integral over [0, pi] is
+twice the integral over [0, pi/2].  The integrands are smooth except at the
+zero angles of C_n, where they behave like t^2 log t (entropy weights) or
+log t (bare log moments).  [0, pi/2] is split at those angles (pi/2 is one
+for odd n) and each panel is handled by a tanh-sinh rule, which absorbs
+endpoint singularities of exactly this kind; a panel whose error estimate
+exceeds its share of the budget is bisected recursively.  The zero angles
+come from Newton steps on the standard representation, and the integrands
+evaluate it as a folded cosine ladder (see gegenbauer).
 """
 
 from __future__ import annotations
@@ -51,8 +56,9 @@ class ToleranceNotMet(Exception):
 
 
 def _panel_knots(spec: GegenbauerSpec, cfg: QuadratureConfig) -> List[mp.mpf]:
+    """0, the zero angles in (0, pi/2), and pi/2."""
     inner = zero_angles(spec, cfg.working_precision) if spec.n else []
-    return [mp.mpf(0)] + inner + [+mp.pi]
+    return [mp.mpf(0)] + inner[:spec.n // 2] + [mp.pi / 2]
 
 
 def _adaptive_panel(f, a, b, budget, depth_left) -> Tuple[mp.mpf, mp.mpf]:
@@ -66,9 +72,13 @@ def _adaptive_panel(f, a, b, budget, depth_left) -> Tuple[mp.mpf, mp.mpf]:
 
 
 def _integrate(f, knots: List[mp.mpf], cfg: QuadratureConfig) -> mp.mpf:
-    """Sum the panels in index order; raise if the total estimate misses."""
+    """Twice the panel sum over the half range, panels in index order.
+
+    The half range gets half the budget; raise if the doubled estimate
+    misses the whole of it.
+    """
     tol = mp.mpf(cfg.target_abs_tol)
-    per_panel = tol / (len(knots) - 1)
+    per_panel = tol / 2 / (len(knots) - 1)
     total = mp.mpf(0)
     err_total = mp.mpf(0)
     for a, b in zip(knots, knots[1:]):
@@ -76,6 +86,7 @@ def _integrate(f, knots: List[mp.mpf], cfg: QuadratureConfig) -> mp.mpf:
                                      cfg.max_subdivision_depth)
         total += value
         err_total += err
+    total, err_total = 2 * total, 2 * err_total
     if err_total > tol:
         raise ToleranceNotMet(total, err_total)
     return total
@@ -83,7 +94,7 @@ def _integrate(f, knots: List[mp.mpf], cfg: QuadratureConfig) -> mp.mpf:
 
 def _weighted_integral(spec: GegenbauerSpec, cfg: QuadratureConfig,
                        integrand: Callable[[mp.mpf, mp.mpf], mp.mpf]) -> mp.mpf:
-    """int_0^pi integrand(C_n(cos t), sin(t)^(2 lam)) dt, split at the zero angles.
+    """int_0^pi integrand(C_n(cos t), sin(t)^(2 lam)) dt, as twice the half range.
 
     The caller holds cfg's working precision.
     """
@@ -101,8 +112,9 @@ def entropy_quadrature(spec: GegenbauerSpec,
                        cfg: QuadratureConfig = QuadratureConfig()) -> mp.mpf:
     """Direct estimate of E(C_n^(lam)) within cfg.target_abs_tol.
 
-    Integrates -C^2 log(C^2) sin(theta)^(2 lam) over (0, pi), split at the
-    zero angles where the integrand has its t^2 log t^2 kinks.
+    Integrates -C^2 log(C^2) sin(theta)^(2 lam) over (0, pi), as twice the
+    half range split at the zero angles, where the integrand has its
+    t^2 log t^2 kinks.
     """
     def integrand(c, w):
         csq = c * c

@@ -76,7 +76,7 @@ GOLDEN = [
      "b85423e7cee1192163ed4a8464095023f939608b489a22a7a5dafd0c871d53df",
      EMPTY),
     ("verify --lambda-max 3 --n-max 2", 0,
-     "0d5838536a34e4ff3146178141f670933666dc0326025831bf2234c04680cdbd",
+     "5b70ff0ed7b97003bc0ed34fcdcd67665b564a11c8ba215f83b1184d0b439fd4",
      EMPTY),
     ("verify --lambda-max 3 --n-max 4 --skip-quadrature", 0,
      "8270e4da13c3c5630e4439096c12f53eedcb579e16e56e1b01ee3d43aa19d7bb",

@@ -7,10 +7,10 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gegentropy import (GegenbauerSpec, gegenbauer_value, pochhammer,
-                        standard_coeff, standard_coeffs,
+from gegentropy import (GegenbauerSpec, gegenbauer, gegenbauer_value,
+                        pochhammer, standard_coeff, standard_coeffs,
                         standard_representation, szego_coeffs,
-                        szego_representation, zeros)
+                        szego_representation, zero_angles, zeros)
 
 F = Fraction
 
@@ -283,3 +283,56 @@ class TestZeros:
                 outer = zeros(GegenbauerSpec(lam, n), 50)
                 for i in range(n - 1):
                     assert outer[i] < inner[i] < outer[i + 1]
+
+
+#: zero_angles' accuracy at precision 50: 10^(2 - precision).
+ZERO_TOL = mp.mpf(10) ** -48
+
+
+class TestZeroAngles:
+    @pytest.mark.parametrize("lam", [0, 1])
+    def test_closed_forms(self, lam):
+        # T_n: t_k = (2k-1) pi / (2n);  U_n: t_k = k pi / (n+1).
+        for n in range(1, 41):
+            got = zero_angles(GegenbauerSpec(lam, n), 50)
+            with mp.workdps(60):
+                if lam == 0:
+                    want = [(2 * k - 1) * mp.pi / (2 * n) for k in range(1, n + 1)]
+                else:
+                    want = [k * mp.pi / (n + 1) for k in range(1, n + 1)]
+                assert len(got) == n
+                assert all(abs(a - b) < ZERO_TOL for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("lam", range(2, 7))
+    def test_mirror_symmetry(self, lam):
+        for n in range(1, 16):
+            got = zero_angles(GegenbauerSpec(lam, n), 50)
+            with mp.workdps(60):
+                for k in range(n):
+                    assert abs(got[k] + got[n - 1 - k] - mp.pi) < ZERO_TOL
+                if n % 2:
+                    assert abs(got[n // 2] - mp.pi / 2) < ZERO_TOL
+
+    def test_bisection_fallback(self, monkeypatch):
+        specs = [GegenbauerSpec(0, 4), GegenbauerSpec(3, 5), GegenbauerSpec(6, 20)]
+        bisections = []
+        bisect = gegenbauer._bisect
+
+        def counting_bisect(*args):
+            bisections.append(args)
+            return bisect(*args)
+
+        monkeypatch.setattr(gegenbauer, "_bisect", counting_bisect)
+        newton = [zero_angles(spec, 50) for spec in specs]
+        assert not bisections
+
+        # A slope of the wrong sign sends every Newton step out of its bracket.
+        slope = gegenbauer._standard_slope
+        monkeypatch.setattr(gegenbauer, "_standard_slope",
+                            lambda n, weights: lambda t: -slope(n, weights)(t))
+        for spec, want in zip(specs, newton):
+            bisections.clear()
+            got = zero_angles(spec, 50)
+            assert len(bisections) == spec.n // 2
+            with mp.workdps(60):
+                assert all(abs(a - b) < ZERO_TOL for a, b in zip(got, want))

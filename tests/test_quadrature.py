@@ -35,6 +35,18 @@ class TestEntropyQuadrature:
             want = entropy_exact(spec).evaluate(50)
             assert abs(got - want) < TOL
 
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_reaches_working_precision(self, lam):
+        # Far below the 1e-10 budget: the oracle's panels converge to nearly
+        # all 50 working digits, so it can tell apart values the gate cannot.
+        cfg = QuadratureConfig(target_abs_tol=1e-10, working_precision=50)
+        for n in range(7):
+            spec = GegenbauerSpec(lam, n)
+            got = entropy_quadrature(spec, cfg)
+            want = entropy_exact(spec).evaluate(50)
+            with mp.workdps(50):
+                assert abs(got - want) < mp.mpf("1e-40")
+
     def test_convergence_monotonicity(self):
         spec = GegenbauerSpec(3, 4)
         loose = QuadratureConfig(target_abs_tol=1e-8)
