@@ -35,6 +35,12 @@ DEFAULT_PRECISION = 64
 MIN_PRECISION = 50
 
 
+def require_int(name: str, value, floor: int) -> None:
+    """Raise ValueError unless value is an int (bool is not) and >= floor."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < floor:
+        raise ValueError(f"{name} must be an int >= {floor}, got {value!r}")
+
+
 def to_mpf(q: RationalLike) -> mp.mpf:
     """Convert an exact rational to mpf at the *current* mpmath precision."""
     if isinstance(q, Fraction):
@@ -155,13 +161,7 @@ def log_linear_from(coeff: RationalLike, arg: RationalLike) -> LogLinear:
 
 def log_linear_eval(value: LogLinear, precision: int = DEFAULT_PRECISION) -> mp.mpf:
     """Evaluate a LogLinear to an mpf with `precision` decimal digits."""
-    if precision < MIN_PRECISION:
-        raise ValueError(f"precision must be >= {MIN_PRECISION}, got {precision}")
-    with mp.workdps(precision + 10):
-        total = to_mpf(value.constant)
-        for p, e in value.log_terms.items():
-            total += to_mpf(e) * mp.log(p)
-        return total
+    return ExactEntropy(plain_part=value).evaluate(precision)
 
 
 @dataclass(frozen=True)
@@ -193,10 +193,13 @@ class ExactEntropy:
 
     def evaluate(self, precision: int = DEFAULT_PRECISION) -> mp.mpf:
         """Numeric value pi*pi_part + plain_part at `precision` digits."""
+        require_int("precision", precision, MIN_PRECISION)
         with mp.workdps(precision + 10):
-            total = log_linear_eval(self.pi_part, precision) * mp.pi
-            total += log_linear_eval(self.plain_part, precision)
-            return total
+            pi_total, total = (
+                sum((to_mpf(e) * mp.log(p) for p, e in part.log_terms.items()),
+                    to_mpf(part.constant))
+                for part in (self.pi_part, self.plain_part))
+            return pi_total * mp.pi + total
 
 
 def decimal_string(x: mp.mpf, precision: int) -> str:

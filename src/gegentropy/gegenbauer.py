@@ -18,6 +18,9 @@ Representations, with x = cos(theta):
 The szego sine series terminates after lam terms exactly because
 (1-lam)_v = 0 for v >= lam when lam is a positive integer.
 
+The evaluators sum both series by Clenshaw's recurrence in 2 cos(2t), so the
+standard form costs one mp.cos_sin per evaluation whatever its length.
+
 lam = 0 denotes the Chebyshev-T limit and is represented explicitly
 (T_n(cos t) = cos(n t)) instead of through coefficient limits, which would
 involve 0/0 rational arithmetic.
@@ -32,7 +35,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import mpmath as mp
 
-from .exact import DEFAULT_PRECISION, RationalLike, to_mpf
+from .exact import DEFAULT_PRECISION, MIN_PRECISION, RationalLike, require_int, to_mpf
 
 Numeric = Union[Fraction, int, mp.mpf]
 
@@ -45,14 +48,8 @@ class GegenbauerSpec:
     n: int
 
     def __post_init__(self):
-        for name, value in (("parameter", self.lam), ("degree", self.n)):
-            # bool is an int subclass, but True is no parameter.
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.lam < 0:
-            raise ValueError(f"parameter must be >= 0, got {self.lam}")
-        if self.n < 0:
-            raise ValueError(f"degree must be >= 0, got {self.n}")
+        require_int("parameter", self.lam, 0)
+        require_int("degree", self.n, 0)
 
 
 def pochhammer(a: RationalLike, k: int) -> Fraction:
@@ -100,31 +97,16 @@ def szego_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, List[Fraction]]:
     return c, alphas
 
 
-def _ladder(weights: List[mp.mpf], start: int, stride: int,
-            wave: Callable[[mp.mpf], mp.mpf]) -> Callable[[mp.mpf], mp.mpf]:
-    """theta -> sum_k weights[k] * wave((start + k stride) theta), stride +-2.
-
-    cos and sin share the three-term recurrence
-    wave((k+2)t) + wave((k-2)t) = 2 cos(2t) wave(kt), so the sum costs three
-    trig calls whatever its length.
-    """
-    first, *rest = weights
-
-    def evaluate(theta):
-        step = 2 * mp.cos(2 * theta)
-        prev = wave((start - stride) * theta)
-        cur = wave(start * theta)
-        total = first * cur
-        for w in rest:
-            prev, cur = cur, step * cur - prev
-            total += w * cur
-        return total
-
-    return evaluate
+def _clenshaw(weights: List[mp.mpf], x2, phi0, phi1) -> mp.mpf:
+    """sum_k weights[k] phi_k for phi_(k+1) = x2 phi_k - phi_(k-1), backwards."""
+    b1 = b2 = 0
+    for w in weights[:0:-1]:
+        b1, b2 = w + x2 * b1 - b2, b1
+    return weights[0] * phi0 + b1 * phi1 - b2 * phi0
 
 
 def _folded_weights(spec: GegenbauerSpec) -> List[mp.mpf]:
-    """Weights of cos(n t), cos((n-2) t), ..., cos(t) or 1 in C_n(cos t).
+    """Weights of 1 or cos(t), then cos(2t) or cos(3t), ..., cos(n t) in C_n(cos t).
 
     d_m = d_{n-m} pairs the frequencies n-2m and -(n-2m), so each pair
     weighs 2 d_m; for even n the middle d_{n/2} stands alone.
@@ -134,22 +116,42 @@ def _folded_weights(spec: GegenbauerSpec) -> List[mp.mpf]:
     weights = [2 * to_mpf(dm) for dm in d[:half]]
     if spec.n % 2 == 0:
         weights.append(to_mpf(d[half]))
-    return weights
+    return weights[::-1]
+
+
+def _folded_series(n: int, weights: List[mp.mpf],
+                   sine: bool = False) -> Callable[[mp.mpf, mp.mpf], mp.mpf]:
+    """(cos t, sin t) -> sum_k weights[k] wave((2k + n mod 2) t), wave cos or sin.
+
+    The waves obey _clenshaw's recurrence with x2 = 2 cos 2t.
+    """
+    def evaluate(c, s):
+        x2 = 2 - 4 * s * s  # 2 cos 2t, accurate to rounding as t -> 0
+        if n % 2:
+            seeds = (s, s * (x2 + 1)) if sine else (c, c * (x2 - 1))
+        else:
+            seeds = (0, 2 * s * c) if sine else (1, x2 / 2)
+        return _clenshaw(weights, x2, *seeds)
+
+    return evaluate
 
 
 def standard_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
     """theta -> C_n(cos theta) from the cosine series.
 
     The coefficients are rounded once, at the mpmath precision current at
-    this call.  The sum walks the folded frequencies n, n-2, ..., 1 or 0.
+    this call.  The sum walks the folded frequencies n mod 2, ..., n-2, n
+    from one mp.cos_sin per evaluation.
     """
-    return _ladder(_folded_weights(spec), spec.n, -2, mp.cos)
+    series = _folded_series(spec.n, _folded_weights(spec))
+    return lambda theta: series(*mp.cos_sin(theta))
 
 
 def _standard_slope(n: int, weights: List[mp.mpf]) -> Callable[[mp.mpf], mp.mpf]:
-    """theta -> d/dtheta of the folded cosine ladder: its sine ladder."""
-    return _ladder([-(n - 2 * k) * w for k, w in enumerate(weights)],
-                   n, -2, mp.sin)
+    """theta -> d/dtheta of the folded cosine series: its sine series."""
+    series = _folded_series(
+        n, [-(2 * k + n % 2) * w for k, w in enumerate(weights)], sine=True)
+    return lambda theta: series(*mp.cos_sin(theta))
 
 
 def szego_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
@@ -161,15 +163,16 @@ def szego_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
     """
     c, alphas = szego_coeffs(spec)
     prefactor = to_mpf(c)
-    # Ascending frequencies n+1, n+3, ...
-    series = _ladder([to_mpf(a) for a in alphas], spec.n + 1, 2, mp.sin)
-    power = 2 * spec.lam - 1
+    weights = [to_mpf(a) for a in alphas]
+    n, power = spec.n, 2 * spec.lam - 1
 
     def evaluate(theta):
         s = mp.sin(theta)
         if s == 0:
             raise ValueError("szego representation is singular at theta = 0, pi")
-        return prefactor * series(theta) / s ** power
+        # Ascending frequencies n+1, n+3, ...
+        return prefactor * _clenshaw(weights, 2 - 4 * s * s, mp.sin((n + 1) * theta),
+                                     mp.sin((n + 3) * theta)) / s ** power
 
     return evaluate
 
@@ -246,19 +249,21 @@ def zero_angles(spec: GegenbauerSpec, precision: int = DEFAULT_PRECISION) -> Lis
     C_n(cos(pi - t)) = (-1)^n C_n(cos t), so only (0, pi/2) is searched:
     sign changes of the standard representation are bracketed on a uniform
     grid of step pi/(8n+9), each bracket is polished by Newton steps (the
-    derivative is the sine ladder of the same coefficients) to within
+    derivative is the sine series of the same coefficients) to within
     10^(2-precision), and the bracket is bisected to that width instead when
     Newton leaves it or misses the sign change.  pi/2 is a zero for odd n;
     the zeros above it are the mirror images pi - t.  The trig form is
     uniformly well conditioned on the circle, so no eigenvalue machinery is
     needed.
     """
+    require_int("precision", precision, MIN_PRECISION)
     n = spec.n
     if n == 0:
         return []
     with mp.workdps(precision + 10):
         weights = _folded_weights(spec)
-        g = _ladder(weights, n, -2, mp.cos)
+        series = _folded_series(n, weights)
+        g = lambda t: series(*mp.cos_sin(t))
         slope = _standard_slope(n, weights)
         # The points pi i / (8n+9) of the full-range grid below pi/2, which
         # miss the zeros of T_n and U_n and put pi/2 mid-cell; pi/2 itself
@@ -290,5 +295,6 @@ def zero_angles(spec: GegenbauerSpec, precision: int = DEFAULT_PRECISION) -> Lis
 
 def zeros(spec: GegenbauerSpec, precision: int = DEFAULT_PRECISION) -> List[mp.mpf]:
     """The n zeros of C_n^(lam) in (-1, 1), ascending."""
+    angles = zero_angles(spec, precision)
     with mp.workdps(precision + 10):
-        return [mp.cos(t) for t in reversed(zero_angles(spec, precision))]
+        return [mp.cos(t) for t in reversed(angles)]

@@ -13,8 +13,9 @@ log t (bare log moments).  [0, pi/2] is split at those angles (pi/2 is one
 for odd n) and each panel is handled by a tanh-sinh rule, which absorbs
 endpoint singularities of exactly this kind; a panel whose error estimate
 exceeds its share of the budget is bisected recursively.  The zero angles
-come from Newton steps on the standard representation, and the integrands
-evaluate it as a folded cosine ladder (see gegenbauer).
+come from Newton steps on the standard representation.  The weighted
+integrands take one mp.cos_sin per node, for the folded cosine series (a
+Clenshaw sum, see gegenbauer) and the weight sin(t)^(2 lam).
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from typing import Callable, List, Tuple
 
 import mpmath as mp
 
-from .exact import MIN_PRECISION, to_mpf
-from .gegenbauer import (GegenbauerSpec, pochhammer, standard_representation,
-                         zero_angles)
+from .exact import MIN_PRECISION, require_int, to_mpf
+from .gegenbauer import (GegenbauerSpec, _folded_series, _folded_weights,
+                         pochhammer, standard_representation, zero_angles)
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if not self.target_abs_tol > 0:
             raise ValueError("target_abs_tol must be positive")
-        if self.working_precision < MIN_PRECISION:
-            raise ValueError(f"working_precision must be >= {MIN_PRECISION}")
+        require_int("working_precision", self.working_precision, MIN_PRECISION)
+        require_int("max_subdivision_depth", self.max_subdivision_depth, 0)
 
 
 class ToleranceNotMet(Exception):
@@ -98,12 +99,12 @@ def _weighted_integral(spec: GegenbauerSpec, cfg: QuadratureConfig,
 
     The caller holds cfg's working precision.
     """
-    poly = standard_representation(spec)
+    poly = _folded_series(spec.n, _folded_weights(spec))
     two_lam = 2 * spec.lam
 
     def f(theta):
-        w = mp.sin(theta) ** two_lam if two_lam else mp.mpf(1)
-        return integrand(poly(theta), w)
+        c, s = mp.cos_sin(theta)
+        return integrand(poly(c, s), s ** two_lam)
 
     return _integrate(f, _panel_knots(spec, cfg), cfg)
 

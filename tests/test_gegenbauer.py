@@ -221,6 +221,24 @@ class TestTrigRepresentations:
         _, alphas = szego_coeffs(spec)
         assert len(alphas) == 4 and alphas[0] == 1
 
+    @pytest.mark.parametrize("lam,n", [(20, 100), (30, 300)])
+    def test_standard_accuracy_at_large_specs(self, lam, n):
+        # The 50-digit sum against a 300-digit one, relative to the sum of
+        # the |weights|, C_n(1); near t = 0 the wave recurrence is worst
+        # conditioned.
+        spec = GegenbauerSpec(lam, n)
+        with mp.workdps(50):
+            angles = [mp.pi * k / 194 for k in range(1, 97)]
+            angles += [mp.mpf("1e-3"), mp.mpf("1e-6"), mp.mpf("1e-12")]
+            rep = standard_representation(spec)
+            got = [rep(t) for t in angles]
+        weight_sum = sum(standard_coeffs(spec))
+        with mp.workdps(300):
+            rep = standard_representation(spec)
+            worst = max(abs(a - rep(t)) for a, t in zip(got, angles))
+            assert worst < (mp.mpf("2e-48") * weight_sum.numerator
+                            / weight_sum.denominator)
+
     def test_trig_recurrence_identity(self):
         # 2(lam-1) sin^2 t C_n^(lam) = (2 lam + n - 1) cos t C_{n+1}^(lam-1)
         #                              - (n + 2) C_{n+2}^(lam-1)
@@ -336,3 +354,11 @@ class TestZeroAngles:
             assert len(bisections) == spec.n // 2
             with mp.workdps(60):
                 assert all(abs(a - b) < ZERO_TOL for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("precision", [10, 60.5, "60", True])
+    def test_rejects_bad_precision(self, precision):
+        for n in (0, 3):
+            with pytest.raises(ValueError):
+                zero_angles(GegenbauerSpec(2, n), precision)
+            with pytest.raises(ValueError):
+                zeros(GegenbauerSpec(2, n), precision)

@@ -141,8 +141,18 @@ class TestOrthonormality:
 
 
 class TestConfig:
+    BAD = [
+        {"target_abs_tol": 0},
+        {"working_precision": 30},
+        {"working_precision": 60.5},
+        {"working_precision": "60"},
+        {"working_precision": True},
+        {"max_subdivision_depth": -3},
+        {"max_subdivision_depth": 2.5},
+        {"max_subdivision_depth": False},
+    ]
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(target_abs_tol=0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(working_precision=30)
+        for kwargs in self.BAD:
+            with pytest.raises(ValueError):
+                QuadratureConfig(**kwargs)
