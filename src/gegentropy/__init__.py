@@ -7,13 +7,11 @@ and a numerical quadrature oracle.
 """
 
 from .exact import (DEFAULT_PRECISION, MIN_PRECISION, ExactEntropy, LogLinear,
-                    Rational, dumps_json, entropy_from_json_dict,
-                    entropy_to_json_dict, factorize, log_linear_eval,
+                    dumps_json, entropy_from_json_dict, entropy_to_json_dict,
                     log_linear_from)
-from .gegenbauer import (GegenbauerSpec, gegenbauer_value, pochhammer,
-                         standard_coeff, standard_coeffs,
+from .gegenbauer import (GegenbauerSpec, gegenbauer_value, standard_coeffs,
                          standard_representation, szego_coeffs,
-                         szego_representation, zero_angles, zeros)
+                         szego_representation, zero_angles)
 from .entropy import (IntegralTable, ROUTE_FAA_DI_BRUNO,
                       ROUTE_SERIES_LOG, ROUTE_STANDARD_REP, assemble_entropy,
                       beta_vector, entropy_closed_form, entropy_exact,
@@ -34,7 +32,6 @@ __all__ = [
     "LogLinear",
     "MIN_PRECISION",
     "QuadratureConfig",
-    "Rational",
     "ROUTE_FAA_DI_BRUNO",
     "ROUTE_SERIES_LOG",
     "ROUTE_STANDARD_REP",
@@ -47,24 +44,19 @@ __all__ = [
     "entropy_from_json_dict",
     "entropy_quadrature",
     "entropy_to_json_dict",
-    "factorize",
     "gegenbauer_value",
     "integral_I_quadrature",
     "integrals_faa_di_bruno",
     "integrals_series_log",
     "integrals_standard_rep",
-    "log_linear_eval",
     "log_linear_from",
     "normalize_entropy",
     "normalized_entropy_exact",
     "normalized_entropy_quadrature",
     "orthonormality_quadrature",
-    "pochhammer",
-    "standard_coeff",
     "standard_coeffs",
     "standard_representation",
     "szego_coeffs",
     "szego_representation",
     "zero_angles",
-    "zeros",
 ]

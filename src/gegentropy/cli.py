@@ -113,17 +113,14 @@ class OutputRecord:
     lam: int
     n: int
     normalized: bool
-    exact: Optional[ExactEntropy]
+    exact: ExactEntropy
     decimal: str
     route: str
 
     def to_json_dict(self, precision: int) -> dict:
-        d = {"lambda": self.lam, "n": self.n, "normalized": self.normalized}
-        if self.exact is not None:
-            d["exact"] = entropy_to_json_dict(self.exact, precision)
-        d["decimal"] = self.decimal
-        d["route"] = self.route
-        return d
+        return {"lambda": self.lam, "n": self.n, "normalized": self.normalized,
+                "exact": entropy_to_json_dict(self.exact, precision),
+                "decimal": self.decimal, "route": self.route}
 
 
 def _entropy_record(spec: GegenbauerSpec, normalized: bool, precision: int,
@@ -244,8 +241,8 @@ def cmd_integrals(args) -> int:
 def cmd_verify(args) -> int:
     if args.lambda_max < 1 or args.n_max < 1:
         raise UsageError("--lambda-max and --n-max must be >= 1")
-    if args.tol <= 0:
-        raise UsageError("--tol must be positive")
+    if not 0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be finite and > 0, got {args.tol}")
     precision = args.precision if args.precision is not None else MIN_PRECISION
     if precision < MIN_PRECISION:
         raise UsageError(f"precision must be >= {MIN_PRECISION}")
@@ -339,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="route-equality and quadrature sweep over a grid")
     pv.add_argument("--lambda-max", dest="lambda_max", type=int, required=True)
     pv.add_argument("--n-max", dest="n_max", type=int, required=True)
-    pv.add_argument("--tol", type=float, default=1e-8)
+    pv.add_argument("--tol", type=float, default=1e-8,
+                    help="largest accepted |exact - quadrature|, finite and > 0 "
+                         "(default 1e-8; the oracle integrates to tol/10)")
     pv.add_argument("--precision", type=int, default=None,
                     help="quadrature working precision in decimal digits "
                          f"(default and minimum {MIN_PRECISION}; "

@@ -9,11 +9,11 @@ combination of the Fourier-cosine moments
 
     I_m = integral_0^pi cos(2m t) log(C_n(cos t))^2 dt,   m = 0 .. n + lam:
 
-    E(C_n) = -(c/2) * [ a_0 d_0 I_0 + sum_{m=1}^{n+lam} beta_m I_m ],
+    E(C_n) = -(c/2) * sum_{m=0}^{n+lam} beta_m I_m,
 
-where beta_m combines the szego sine coefficients a_v with first differences
-of the standard cosine coefficients d_j, and the m = n+lam term is absorbed
-into the sum with the override beta_{n+lam} = -a_{lam-1} d_n.
+where beta_0 = a_0 d_0 and, for m >= 1, beta_m combines the szego sine
+coefficients a_v with first differences of the standard cosine coefficients
+d_j, with the override beta_{n+lam} = -a_{lam-1} d_n.
 
 Every I_m is pi times an exact rational for m >= 1, and
 I_0 = 2 pi log((lam)_n / n!).  Three independent routes compute the same
@@ -53,8 +53,8 @@ import mpmath as mp
 
 from .exact import (DEFAULT_PRECISION, ExactEntropy, LogLinear, ZERO,
                     log_linear_from, to_mpf)
-from .gegenbauer import (GegenbauerSpec, pochhammer, standard_coeff,
-                         standard_coeffs, szego_coeffs)
+from .gegenbauer import (GegenbauerSpec, pochhammer, standard_coeffs,
+                         szego_coeffs)
 
 ROUTE_SERIES_LOG = "series-log"
 ROUTE_FAA_DI_BRUNO = "faa-di-bruno"
@@ -84,9 +84,9 @@ def _require_integer_parameter(spec: GegenbauerSpec) -> None:
 def beta_vector(spec: GegenbauerSpec) -> Tuple[Fraction, ...]:
     """Weights beta_0 .. beta_{n+lam} of I_0 .. I_{n+lam} in the assembly.
 
-    beta_m = sum_v a_v (d_{m-v} - d_{m-v-1}) for 1 <= m < n + lam, with d_j
-    read as 0 for j outside 0..n, and beta_{n+lam} = -a_{lam-1} d_n.  I_0
-    carries its own weight in the assembly, so beta_0 = 0 is unused.
+    beta_0 = a_0 d_0, beta_m = sum_v a_v (d_{m-v} - d_{m-v-1}) for
+    1 <= m < n + lam, with d_j read as 0 for j outside 0..n, and
+    beta_{n+lam} = -a_{lam-1} d_n.
     """
     _require_integer_parameter(spec)
     lam, n = spec.lam, spec.n
@@ -95,6 +95,7 @@ def beta_vector(spec: GegenbauerSpec) -> Tuple[Fraction, ...]:
     pad = (Fraction(0),) * lam
     d = pad + standard_coeffs(spec) + pad
     beta = [Fraction(0)] * (n + lam + 1)
+    beta[0] = alphas[0] * d[lam]
     for m in range(1, n + lam):
         beta[m] = sum((alphas[v] * (d[m - v + lam] - d[m - v + lam - 1])
                        for v in range(lam)), Fraction(0))
@@ -236,12 +237,10 @@ def integrals_faa_di_bruno(spec: GegenbauerSpec) -> IntegralTable:
 
 def assemble_entropy(spec: GegenbauerSpec, table: IntegralTable) -> ExactEntropy:
     """Combine an integral table into E(C_n) = pi * (exact log-linear)."""
-    c, alphas = szego_coeffs(spec)
-    beta = beta_vector(spec)
-    acc = table.values[0] * (alphas[0] * standard_coeff(spec, 0))
-    for m in range(1, spec.n + spec.lam + 1):
-        acc = acc + table.values[m] * beta[m]
-    return ExactEntropy(pi_part=acc * (Fraction(-1, 2) * c), plain_part=ZERO)
+    c, _ = szego_coeffs(spec)
+    weights = zip(table.values, beta_vector(spec), strict=True)
+    total = sum((v * b for v, b in weights), ZERO)
+    return ExactEntropy(pi_part=total * (Fraction(-1, 2) * c), plain_part=ZERO)
 
 
 def entropy_exact(spec: GegenbauerSpec) -> ExactEntropy:

@@ -25,7 +25,6 @@ from typing import Dict, Mapping, Union
 
 import mpmath as mp
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 #: Decimal digits used when no precision is requested explicitly.
@@ -157,11 +156,6 @@ def log_linear_from(coeff: RationalLike, arg: RationalLike) -> LogLinear:
     for p, e in factorize(arg.denominator).items():
         terms[p] = terms.get(p, Fraction(0)) - coeff * e
     return LogLinear(Fraction(0), terms)
-
-
-def log_linear_eval(value: LogLinear, precision: int = DEFAULT_PRECISION) -> mp.mpf:
-    """Evaluate a LogLinear to an mpf with `precision` decimal digits."""
-    return ExactEntropy(plain_part=value).evaluate(precision)
 
 
 @dataclass(frozen=True)

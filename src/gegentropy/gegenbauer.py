@@ -63,23 +63,17 @@ def pochhammer(a: RationalLike, k: int) -> Fraction:
     return result
 
 
-def standard_coeff(spec: GegenbauerSpec, m: int) -> Fraction:
-    """Cosine-series coefficient d_m of the standard representation, 0 <= m <= n."""
+def standard_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, ...]:
+    """The cosine coefficients (d_0, ..., d_n)."""
     lam, n = spec.lam, spec.n
-    if not 0 <= m <= n:
-        raise ValueError(f"coefficient index {m} outside 0..{n} for {spec}")
     if lam == 0:
         # Chebyshev-T limit: cos(n t) itself.
         if n == 0:
-            return Fraction(1)
-        return Fraction(1, 2) if m in (0, n) else Fraction(0)
-    return (pochhammer(lam, m) * pochhammer(lam, n - m)
-            / (math.factorial(m) * math.factorial(n - m)))
-
-
-def standard_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, ...]:
-    """The cosine coefficients (d_0, ..., d_n)."""
-    return tuple(standard_coeff(spec, m) for m in range(spec.n + 1))
+            return (Fraction(1),)
+        return (Fraction(1, 2),) + (Fraction(0),) * (n - 1) + (Fraction(1, 2),)
+    return tuple(pochhammer(lam, m) * pochhammer(lam, n - m)
+                 / (math.factorial(m) * math.factorial(n - m))
+                 for m in range(n + 1))
 
 
 def szego_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, List[Fraction]]:

@@ -36,13 +36,18 @@ from .gegenbauer import (GegenbauerSpec, _folded_series, _folded_weights,
 class QuadratureConfig:
     target_abs_tol: float = 1e-10
     working_precision: int = MIN_PRECISION
-    max_subdivision_depth: int = 10
 
     def __post_init__(self):
-        if not self.target_abs_tol > 0:
-            raise ValueError("target_abs_tol must be positive")
+        tol = self.target_abs_tol
+        if (not isinstance(tol, (int, float)) or isinstance(tol, bool)
+                or not 0 < tol < math.inf):
+            raise ValueError(
+                f"target_abs_tol must be a finite number > 0, got {tol!r}")
         require_int("working_precision", self.working_precision, MIN_PRECISION)
-        require_int("max_subdivision_depth", self.max_subdivision_depth, 0)
+
+
+#: Times a panel may be bisected before the oracle gives up on its budget.
+_MAX_DEPTH = 10
 
 
 class ToleranceNotMet(Exception):
@@ -83,8 +88,7 @@ def _integrate(f, knots: List[mp.mpf], cfg: QuadratureConfig) -> mp.mpf:
     total = mp.mpf(0)
     err_total = mp.mpf(0)
     for a, b in zip(knots, knots[1:]):
-        value, err = _adaptive_panel(f, a, b, per_panel,
-                                     cfg.max_subdivision_depth)
+        value, err = _adaptive_panel(f, a, b, per_panel, _MAX_DEPTH)
         total += value
         err_total += err
     total, err_total = 2 * total, 2 * err_total

@@ -245,8 +245,9 @@ class TestVerifyCommand:
 
     def test_usage_errors(self, capsys):
         assert run(capsys, "verify", "--lambda-max", "0", "--n-max", "1")[0] == 2
-        assert run(capsys, "verify", "--lambda-max", "1", "--n-max", "1",
-                   "--tol", "-1")[0] == 2
+        for tol in ("-1", "nan", "inf"):
+            assert run(capsys, "verify", "--lambda-max", "1", "--n-max", "1",
+                       "--tol", tol)[0] == 2
 
 
 class TestParser:

@@ -12,8 +12,9 @@ from gegentropy import (ExactEntropy, GegenbauerSpec, LogLinear,
                         entropy_exact, integrals_faa_di_bruno,
                         integrals_series_log, integrals_standard_rep,
                         log_linear_from, normalize_entropy,
-                        normalized_entropy_exact, pochhammer, standard_coeff,
+                        normalized_entropy_exact, standard_coeffs,
                         szego_coeffs)
+from gegentropy.gegenbauer import pochhammer
 
 F = Fraction
 
@@ -26,9 +27,11 @@ def rational_entry(table, m):
 
 class TestBetaVector:
     def test_out_of_range_zero_and_length(self):
-        bv = beta_vector(GegenbauerSpec(3, 4))
+        spec = GegenbauerSpec(3, 4)
+        bv = beta_vector(spec)
         assert len(bv) == 4 + 3 + 1
-        assert bv[0] == 0
+        _, alphas = szego_coeffs(spec)
+        assert bv[0] == alphas[0] * standard_coeffs(spec)[0]
 
     def test_lambda1_collapses_to_two_terms(self):
         # E(C_n^(1)) = -(1/2)(I_0 - I_{n+1}): all interior weights vanish.
@@ -36,7 +39,7 @@ class TestBetaVector:
             spec = GegenbauerSpec(1, n)
             bv = beta_vector(spec)
             c, alphas = szego_coeffs(spec)
-            assert c == 1 and alphas[0] * standard_coeff(spec, 0) == 1
+            assert c == 1 and bv[0] == alphas[0] * standard_coeffs(spec)[0] == 1
             assert all(bv[m] == 0 for m in range(1, n + 1))
             assert bv[n + 1] == -1
 
@@ -46,11 +49,10 @@ class TestBetaVector:
         # -(n+1)(n+3)/8 on I_0.
         for n in range(0, 10):
             spec = GegenbauerSpec(2, n)
-            c, alphas = szego_coeffs(spec)
+            c, _ = szego_coeffs(spec)
             bv = beta_vector(spec)
             front = -F(1, 2) * c
-            assert front * alphas[0] * standard_coeff(spec, 0) == \
-                -F((n + 1) * (n + 3), 8)
+            assert front * bv[0] == -F((n + 1) * (n + 3), 8)
             for m in range(1, n + 2):
                 assert front * bv[m] == F(m, 2)
             assert front * bv[n + 2] == -F((n + 1) ** 2, 8)
@@ -187,6 +189,11 @@ class TestEntropyExact:
         e = entropy_exact(spec)
         assert assemble_entropy(spec, integrals_standard_rep(spec)) == e
         assert assemble_entropy(spec, integrals_faa_di_bruno(spec)) == e
+
+    def test_assembly_rejects_table_of_other_length(self):
+        for other in (GegenbauerSpec(4, 4), GegenbauerSpec(4, 6)):
+            with pytest.raises(ValueError):
+                assemble_entropy(GegenbauerSpec(4, 5), integrals_series_log(other))
 
 
 class TestClosedForms:

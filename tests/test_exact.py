@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 
 from gegentropy import (ExactEntropy, LogLinear, dumps_json,
                         entropy_from_json_dict, entropy_to_json_dict,
-                        factorize, log_linear_eval, log_linear_from)
+                        log_linear_from)
+from gegentropy.exact import factorize
 
 F = Fraction
 
@@ -91,7 +92,7 @@ class TestLogLinearFrom:
     @given(st.fractions(min_value=F(-50), max_value=F(50), max_denominator=40),
            st.fractions(min_value=F(1, 200), max_value=F(500), max_denominator=200))
     def test_eval_round_trip(self, c, r):
-        got = log_linear_eval(log_linear_from(c, r), 50)
+        got = ExactEntropy(plain_part=log_linear_from(c, r)).evaluate(50)
         with mp.workdps(60):
             want = (mp.mpf(c.numerator) / c.denominator
                     * mp.log(mp.mpf(r.numerator) / r.denominator))
@@ -114,22 +115,22 @@ class TestLogLinearValue:
         assert v.log_terms == {3: F(1, 2)}
 
     def test_eval_empty_is_zero(self):
-        assert log_linear_eval(LogLinear(), 50) == 0
+        assert ExactEntropy(plain_part=LogLinear()).evaluate(50) == 0
 
     def test_eval_requires_min_precision(self):
         with pytest.raises(ValueError):
-            log_linear_eval(LogLinear(), 20)
+            ExactEntropy(plain_part=LogLinear()).evaluate(20)
 
     def test_reference_value_lambda4_n1(self):
         v = LogLinear(F(119, 240), {2: F(-7)})
         with mp.workdps(40):
-            value = log_linear_eval(v, 64) * mp.pi
+            value = ExactEntropy(plain_part=v).evaluate(64) * mp.pi
             assert mp.nstr(value, 5) == "-13.685"
 
     def test_reference_value_lambda4_n2(self):
         v = LogLinear(F(580771, 300000), {2: F(-105, 8), 5: F(-105, 8)})
         with mp.workdps(40):
-            value = log_linear_eval(v, 64) * mp.pi
+            value = ExactEntropy(plain_part=v).evaluate(64) * mp.pi
             assert abs(value - mp.mpf("-88.862")) < 5e-4
 
 

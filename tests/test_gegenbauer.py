@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gegentropy import (GegenbauerSpec, gegenbauer, gegenbauer_value,
-                        pochhammer, standard_coeff, standard_coeffs,
-                        standard_representation, szego_coeffs,
-                        szego_representation, zero_angles, zeros)
+                        standard_coeffs, standard_representation,
+                        szego_coeffs, szego_representation, zero_angles)
+from gegentropy.gegenbauer import pochhammer, zeros
 
 F = Fraction
 
 
 def brute_cosine_coeff(lam, n, m):
-    """d_m straight from factorial ratios, independent of standard_coeff."""
+    """d_m straight from factorial ratios, independent of standard_coeffs."""
     def rising(a, k):
         out = 1
         for i in range(k):
@@ -56,55 +56,43 @@ class TestPochhammer:
 class TestStandardCoeff:
     def test_lambda1_all_ones(self):
         for n in range(0, 9):
-            for m in range(n + 1):
-                assert standard_coeff(GegenbauerSpec(1, n), m) == 1
+            assert standard_coeffs(GegenbauerSpec(1, n)) == (1,) * (n + 1)
 
     def test_lambda2_n2_m1(self):
         spec = GegenbauerSpec(2, 2)
-        assert standard_coeff(spec, 1) == 4
+        d = standard_coeffs(spec)
+        assert d[1] == 4
         # Oracle: C_2^(2)(cos t) from the recurrence must equal the cosine sum.
         with mp.workdps(50):
             for t in (mp.mpf("0.3"), mp.mpf("1.1"), mp.mpf("2.7")):
                 direct = gegenbauer_value(spec, mp.cos(t))
-                series = sum(
-                    mp.mpf(standard_coeff(spec, m).numerator)
-                    / standard_coeff(spec, m).denominator
-                    * mp.cos((2 - 2 * m) * t) for m in range(3))
+                series = sum(mp.mpf(d[m].numerator) / d[m].denominator
+                             * mp.cos((2 - 2 * m) * t) for m in range(3))
                 assert abs(direct - series) < 1e-40
 
     def test_symmetry_witness(self):
-        spec = GegenbauerSpec(3, 5)
-        assert standard_coeff(spec, 1) == standard_coeff(spec, 4)
+        d = standard_coeffs(GegenbauerSpec(3, 5))
+        assert d[1] == d[4]
 
     def test_symmetry_exhaustive(self):
         for lam in range(0, 7):
             for n in range(0, 21):
-                spec = GegenbauerSpec(lam, n)
+                d = standard_coeffs(GegenbauerSpec(lam, n))
                 for m in range(n + 1):
-                    assert standard_coeff(spec, m) == standard_coeff(spec, n - m)
+                    assert d[m] == d[n - m]
 
     def test_matches_brute_force(self):
         for lam in range(1, 6):
             for n in range(0, 10):
-                spec = GegenbauerSpec(lam, n)
+                d = standard_coeffs(GegenbauerSpec(lam, n))
                 for m in range(n + 1):
-                    assert standard_coeff(spec, m) == brute_cosine_coeff(lam, n, m)
-
-    def test_zero_windows(self):
-        spec = GegenbauerSpec(3, 4)
-        for m in (-2, -1, 5, 6):
-            with pytest.raises(ValueError):
-                standard_coeff(spec, m)
-        with pytest.raises(ValueError):
-            standard_coeff(spec, -3)
-        with pytest.raises(ValueError):
-            standard_coeff(spec, 7)
+                    assert d[m] == brute_cosine_coeff(lam, n, m)
 
     def test_chebyshev_limit(self):
-        assert standard_coeff(GegenbauerSpec(0, 0), 0) == 1
-        spec = GegenbauerSpec(0, 5)
-        assert [standard_coeff(spec, m) for m in range(6)] == [
-            F(1, 2), 0, 0, 0, 0, F(1, 2)]
+        assert standard_coeffs(GegenbauerSpec(0, 0)) == (1,)
+        assert standard_coeffs(GegenbauerSpec(0, 1)) == (F(1, 2), F(1, 2))
+        assert standard_coeffs(GegenbauerSpec(0, 5)) == (
+            F(1, 2), 0, 0, 0, 0, F(1, 2))
 
 
 class TestSzegoCoeffs:
@@ -120,7 +108,7 @@ class TestSzegoCoeffs:
         c, _ = szego_coeffs(GegenbauerSpec(4, 1))
         assert c == F(7, 8)
         # Ties to the factored leading entropy coefficient: c * d_0 = 7/2.
-        assert c * standard_coeff(GegenbauerSpec(4, 1), 0) == F(7, 2)
+        assert c * standard_coeffs(GegenbauerSpec(4, 1))[0] == F(7, 2)
 
     def test_lambda1_recovers_chebyshev_u(self):
         for n in range(0, 8):

@@ -5,11 +5,11 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from gegentropy import (GegenbauerSpec, QuadratureConfig, ToleranceNotMet,
-                        entropy_exact, entropy_quadrature,
-                        integral_I_quadrature, normalize_entropy,
-                        normalized_entropy_quadrature,
-                        orthonormality_quadrature)
+from gegentropy import (ExactEntropy, GegenbauerSpec, QuadratureConfig,
+                        ToleranceNotMet, entropy_exact, entropy_quadrature,
+                        integral_I_quadrature, integrals_series_log,
+                        normalize_entropy, normalized_entropy_quadrature,
+                        orthonormality_quadrature, quadrature)
 
 CFG = QuadratureConfig()
 TOL = mp.mpf("1e-9")  # an order above the default target
@@ -55,11 +55,11 @@ class TestEntropyQuadrature:
         b = entropy_quadrature(spec, tight)
         assert abs(a - b) <= 1e-8
 
-    def test_tolerance_not_met_carries_estimate(self):
+    def test_tolerance_not_met_carries_estimate(self, monkeypatch):
         # At 50 digits the rule's own estimates floor near 1e-74; a 1e-100
         # budget with no subdivision allowance must fail loudly.
-        cfg = QuadratureConfig(target_abs_tol=1e-100, working_precision=50,
-                               max_subdivision_depth=0)
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 0)
+        cfg = QuadratureConfig(target_abs_tol=1e-100, working_precision=50)
         spec = GegenbauerSpec(2, 3)
         with pytest.raises(ToleranceNotMet) as info:
             entropy_quadrature(spec, cfg)
@@ -87,14 +87,13 @@ class TestIntegralMoments:
             assert abs(got - mp.pi / 3) < TOL
 
     def test_log_entry_against_exact(self):
-        from gegentropy import integrals_series_log, log_linear_eval
         for lam, n in [(2, 3), (4, 1), (3, 5)]:
             spec = GegenbauerSpec(lam, n)
             table = integrals_series_log(spec)
             for m in (0, 1, n + lam):
                 got = integral_I_quadrature(spec, m, CFG)
                 with mp.workdps(50):
-                    want = log_linear_eval(table.values[m], 50) * mp.pi
+                    want = ExactEntropy(pi_part=table.values[m]).evaluate(50)
                     assert abs(got - want) < TOL
 
     def test_rejects_out_of_range_m(self):
@@ -143,13 +142,15 @@ class TestOrthonormality:
 class TestConfig:
     BAD = [
         {"target_abs_tol": 0},
+        {"target_abs_tol": "1e-9"},
+        {"target_abs_tol": None},
+        {"target_abs_tol": float("inf")},
+        {"target_abs_tol": float("nan")},
+        {"target_abs_tol": True},
         {"working_precision": 30},
         {"working_precision": 60.5},
         {"working_precision": "60"},
         {"working_precision": True},
-        {"max_subdivision_depth": -3},
-        {"max_subdivision_depth": 2.5},
-        {"max_subdivision_depth": False},
     ]
 
     def test_validation(self):
