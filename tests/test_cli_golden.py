@@ -66,6 +66,12 @@ GOLDEN = [
     ("integrals --lambda 4 --n 3 --route faa-di-bruno --format json", 0,
      "4c315dc1142037e811af764cec0b5ba89af790609d9b106aa54ba04af3485f45",
      EMPTY),
+    ("integrals --lambda 1 --n 3 --route faa-di-bruno", 0,
+     "456825c8da0ec6a308b3c1dcdaa64a3dfd7f82240a609d8db13ee61115ab7914",
+     EMPTY),
+    ("integrals --lambda 2 --n 4 --route faa-di-bruno --format csv", 0,
+     "5f8a6ef9c3b584a1b2704b1600c5116a705b854be24b27b010dab8bdaf824c6a",
+     EMPTY),
     ("integrals --lambda 2 --n 5 --route standard-rep", 0,
      "0191735b685f220fe5594c28d25cc9ef4e118e59d2d75c36d21a1e55ac4f5d65",
      EMPTY),
