@@ -26,11 +26,10 @@ table:
                  the coefficients follow from the standard exact
                  recurrence for the logarithm of a power series.
 
-  faa-di-bruno   closed partition sums for the same Taylor coefficients:
-                 explicit formulas for lam = 1 and lam = 2, and for
-                 lam >= 3 an enumeration of partition multi-indices
-                 (Faa di Bruno's formula applied to log of the sparse
-                 polynomial above).
+  faa-di-bruno   Faa di Bruno's formula for the same Taylor coefficients:
+                 one sum over the partitions of m into parts 1 .. lam - 1,
+                 the same recursion for every lam (for lam = 1 there are
+                 no parts and the sum is 0).
 
   standard-rep   the same residue argument applied to the standard
                  representation's polynomial R(w) = sum_j d_j w^(n-j);
@@ -46,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Dict, List, Tuple, Union
 
 import mpmath as mp
@@ -169,69 +167,40 @@ def integrals_standard_rep(spec: GegenbauerSpec) -> IntegralTable:
     return _as_table(spec, b[1:], ROUTE_STANDARD_REP)
 
 
-def _faa_di_bruno_rationals(spec: GegenbauerSpec) -> List[Fraction]:
-    """Partition-sum evaluation of I_m / pi for parameter >= 3.
-
-    For each m, enumerate k and the multiplicities k_{2j} (j = 3..lam-1,
-    k_{2j} <= floor(m/j)) of the higher even derivatives; the multiplicities
-    k_2, k_4 are determined by the partition constraints and terms where
-    either would be negative are skipped.  The m = n + lam entry picks up the
-    extra -a_0/a_{lam-1} from the top-degree monomial.
-    """
-    lam, n = spec.lam, spec.n
-    _, alphas = szego_coeffs(spec)
-    top = n + lam
-
-    # Power tables: alpha_pows[i][e] = alphas[i] ** e, inv_top[k] = a_{lam-1}^-k.
-    alpha_pows = [[Fraction(1)] for _ in range(lam)]
-    for i in range(lam):
-        for _ in range(top):
-            alpha_pows[i].append(alpha_pows[i][-1] * alphas[i])
-    inv_top = [Fraction(1)]
-    for _ in range(top):
-        inv_top.append(inv_top[-1] / alphas[lam - 1])
-
-    js = list(range(3, lam))  # indices of the free multiplicities
-    out = []
-    for m in range(1, top + 1):
-        total = Fraction(0)
-        for ks in product(*(range(m // j + 1) for j in js)):
-            s_r = sum((j - 2) * kj for j, kj in zip(js, ks))
-            s_s = sum((j - 1) * kj for j, kj in zip(js, ks))
-            if s_s > m - 1:
-                continue
-            base = Fraction(1)
-            for j, kj in zip(js, ks):
-                base *= alpha_pows[lam - 1 - j][kj] / math.factorial(kj)
-            k_min = max(1, -((s_r - m) // 2))  # ceil((m - s_r)/2)
-            for k in range(k_min, m - s_s + 1):
-                k2 = 2 * k - m + s_r
-                k4 = m - k - s_s
-                term = (math.factorial(k - 1) * inv_top[k]
-                        * alpha_pows[lam - 2][k2] / math.factorial(k2)
-                        * alpha_pows[lam - 3][k4] / math.factorial(k4)
-                        * base)
-                total += -term if k % 2 else term
-        value = Fraction(2 * lam - 1, m) - total
-        if m == top:
-            value -= alphas[0] / alphas[lam - 1]
-        out.append(value)
-    return out
-
-
 def integrals_faa_di_bruno(spec: GegenbauerSpec) -> IntegralTable:
-    """Verification route: explicit closed/partition formulas per parameter."""
+    """Verification route: Faa di Bruno's partition sum, one for every lam.
+
+    For m < n + lam only the low part of Q counts, and with
+    r_j = a_{lam-1-j} / a_{lam-1} the m-th Taylor coefficient of
+    log(1 + sum_{j=1}^{lam-1} r_j w^j) is the sum over multiplicities
+    k_j >= 0 with sum_j j k_j = m of (-1)^(k+1) (k-1)! prod_j r_j^k_j / k_j!,
+    where k = sum_j k_j.  The m = n + lam entry picks up the extra
+    -a_0/a_{lam-1} = -r_{lam-1} from the top-degree monomial.
+    """
     _require_integer_parameter(spec)
-    lam, n = spec.lam, spec.n
-    if lam == 1:
-        rationals = [Fraction(1, m) - (1 if m == n + 1 else 0)
-                     for m in range(1, n + 2)]
-    elif lam == 2:
-        y = Fraction(n + 3, n + 1)
-        rationals = [(3 - y ** m) / m + (y if m == n + 2 else 0)
-                     for m in range(1, n + 3)]
-    else:
-        rationals = _faa_di_bruno_rationals(spec)
+    lam, top = spec.lam, spec.n + spec.lam
+    _, alphas = szego_coeffs(spec)
+    # r_0 .. r_{lam-1}, then a zero so that r_1 exists (and vanishes) at lam = 1.
+    r = [alphas[lam - 1 - j] / alphas[lam - 1] for j in range(lam)] + [Fraction(0)]
+    ones = [Fraction(1)]  # ones[e] = r_1^e / e!
+    for e in range(1, top + 1):
+        ones.append(ones[-1] * r[1] / e)
+
+    def partition_sum(j: int, rest: int, k: int, weight: Fraction) -> Fraction:
+        # Parts of size > j are placed: k of them, weight prod r_i^k_i / k_i!.
+        if j < 2:
+            k += rest
+            term = math.factorial(k - 1) * weight * ones[rest]
+            return term if k % 2 else -term
+        total = Fraction(0)
+        for k_j in range(rest // j + 1):
+            total += partition_sum(j - 1, rest - j * k_j, k + k_j, weight)
+            weight = weight * r[j] / (k_j + 1)
+        return total
+
+    rationals = [Fraction(2 * lam - 1, m) + partition_sum(lam - 1, m, 0, Fraction(1))
+                 for m in range(1, top + 1)]
+    rationals[-1] -= r[lam - 1]
     return _as_table(spec, rationals, ROUTE_FAA_DI_BRUNO)
 
 
@@ -247,17 +216,6 @@ def entropy_exact(spec: GegenbauerSpec) -> ExactEntropy:
     """Exact unnormalized entropy E(C_n^(lam)), lam >= 1."""
     _require_integer_parameter(spec)
     return assemble_entropy(spec, integrals_series_log(spec))
-
-
-def _complex_power(base: mp.mpc, exponent: int) -> mp.mpc:
-    """Binary exponentiation on (Re, Im) pairs; exponent >= 0."""
-    result = mp.mpc(1)
-    while exponent:
-        if exponent & 1:
-            result *= base
-        base *= base
-        exponent >>= 1
-    return result
 
 
 def entropy_closed_form(spec: GegenbauerSpec,
@@ -286,7 +244,7 @@ def entropy_closed_form(spec: GegenbauerSpec,
             f = mp.mpc(a, mp.sqrt(3 * a)) / ((n + 1) * (n + 2))
             tail = mp.mpc(2 * n * n + 13 * n + 14,
                           -(n + 1) * (n + 6) * mp.sqrt(mp.mpf(a) / 3))
-            real_part = (_complex_power(f, n + 1) * tail).real
+            real_part = (f ** (n + 1) * tail).real
             total = (2 * (n + 1) * (n + 2) * (n + 4) * (n + 5)
                      * mp.log(mp.mpf((n + 1) * (n + 2)) / 2))
             total += to_mpf(Fraction(

@@ -47,17 +47,6 @@ def to_mpf(q: RationalLike) -> mp.mpf:
     return mp.mpf(q)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2 or (p > 2 and p % 2 == 0):
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def factorize(n: int) -> Dict[int, int]:
     """Prime factorization of a positive integer by trial division.
 
@@ -102,7 +91,7 @@ class LogLinear:
         }
         for p in cleaned:
             # Equality decidability rests on the keys being prime.
-            if not _is_prime(p):
+            if factorize(p) != {p: 1}:
                 raise ValueError(f"log-term key {p} is not prime")
         object.__setattr__(self, "constant", Fraction(self.constant))
         object.__setattr__(self, "log_terms", cleaned)
@@ -171,19 +160,6 @@ class ExactEntropy:
 
     def is_zero(self) -> bool:
         return self.pi_part.is_zero() and self.plain_part.is_zero()
-
-    def __add__(self, other: "ExactEntropy") -> "ExactEntropy":
-        if not isinstance(other, ExactEntropy):
-            return NotImplemented
-        return ExactEntropy(self.pi_part + other.pi_part,
-                            self.plain_part + other.plain_part)
-
-    def __mul__(self, scalar: RationalLike) -> "ExactEntropy":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return ExactEntropy(self.pi_part * scalar, self.plain_part * scalar)
-
-    __rmul__ = __mul__
 
     def evaluate(self, precision: int = DEFAULT_PRECISION) -> mp.mpf:
         """Numeric value pi*pi_part + plain_part at `precision` digits."""

@@ -134,7 +134,8 @@ def entropy_quadrature(spec: GegenbauerSpec,
 def integral_I_quadrature(spec: GegenbauerSpec, m: int,
                           cfg: QuadratureConfig = QuadratureConfig()) -> mp.mpf:
     """Direct estimate of I_m = int_0^pi cos(2m t) log(C_n(cos t))^2 dt."""
-    if not 0 <= m <= spec.n + spec.lam:
+    require_int("m", m, 0)
+    if m > spec.n + spec.lam:
         raise ValueError(f"moment index {m} outside 0..{spec.n + spec.lam}")
     with mp.workdps(cfg.working_precision):
         poly = standard_representation(spec)

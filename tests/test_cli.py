@@ -3,12 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import gegentropy.cli as cli
 import gegentropy.entropy
+import gegentropy.quadrature
 from gegentropy import (ExactEntropy, IntegralTable, LogLinear, dumps_json,
                         log_linear_from)
 from gegentropy.cli import format_exact_entropy, main, round_half_even
@@ -192,6 +197,10 @@ class TestIntegralsCommand:
             rows = list(csv.reader(io.StringIO(out)))
             assert all(r[5] == route for r in rows[1:])
 
+    def test_usage_errors(self, capsys):
+        assert run(capsys, "integrals", "--lambda", "0", "--n", "3")[0] == 2
+        assert run(capsys, "integrals", "--lambda", "2", "--n", "-1")[0] == 2
+
 
 class TestVerifyCommand:
     def test_small_grid_passes(self, capsys):
@@ -243,8 +252,18 @@ class TestVerifyCommand:
         assert code == 1
         assert "lambda=2 n=1 m=2" in out
 
+    def test_tolerance_not_met_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(gegentropy.quadrature, "_MAX_DEPTH", 0)
+        code, out, _ = run(capsys, "verify", "--lambda-max", "1",
+                           "--n-max", "1", "--tol", "1e-99")
+        assert code == 1
+        assert "lambda=1 n=1 routes=ok quad=TOLERANCE-NOT-MET" in out
+        assert "FAIL quadrature tolerance not met lambda=1 n=1" in out
+
     def test_usage_errors(self, capsys):
         assert run(capsys, "verify", "--lambda-max", "0", "--n-max", "1")[0] == 2
+        assert run(capsys, "verify", "--lambda-max", "1", "--n-max", "1",
+                   "--precision", "49")[0] == 2
         for tol in ("-1", "nan", "inf"):
             assert run(capsys, "verify", "--lambda-max", "1", "--n-max", "1",
                        "--tol", tol)[0] == 2
@@ -256,3 +275,12 @@ class TestParser:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_module_entry_point(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        env.pop(cli.ENV_PRECISION, None)
+        done = subprocess.run(
+            [sys.executable, "-m", "gegentropy", "entropy", "--lambda", "4",
+             "--n", "1"], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout.strip() == "-7*pi*log(2) + (119/240)*pi"

@@ -97,8 +97,9 @@ class TestIntegralMoments:
                     assert abs(got - want) < TOL
 
     def test_rejects_out_of_range_m(self):
-        with pytest.raises(ValueError):
-            integral_I_quadrature(GegenbauerSpec(2, 1), 4, CFG)
+        for m in (1.5, True, "1", -1, 4):
+            with pytest.raises(ValueError):
+                integral_I_quadrature(GegenbauerSpec(2, 1), m, CFG)
 
 
 class TestNormalizedQuadrature:
@@ -130,6 +131,35 @@ class TestNormalizedQuadrature:
             got = normalized_entropy_quadrature(spec, CFG)
             want = normalize_entropy(spec, entropy_exact(spec)).evaluate(50)
             assert abs(got - want) < TOL
+
+
+class TestAdaptivePanel:
+    @staticmethod
+    def integrate(monkeypatch, budget):
+        # |t - 1/3| has a kink at 1/3, which only bisection can isolate.
+        calls = []
+        real = mp.quad
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "quad", counting)
+        with mp.workdps(50):
+            value, err = quadrature._adaptive_panel(
+                lambda t: abs(t - mp.mpf(1) / 3), mp.mpf(0), mp.mpf(1),
+                mp.mpf(budget), quadrature._MAX_DEPTH)
+            return value - mp.mpf(5) / 18, err, len(calls)
+
+    def test_bisects_until_budget_met(self, monkeypatch):
+        miss, err, calls = self.integrate(monkeypatch, "1e-6")
+        assert calls == 5
+        assert err <= 1e-6 and abs(miss) < 1e-7
+
+    def test_returns_estimate_when_depth_runs_out(self, monkeypatch):
+        miss, err, calls = self.integrate(monkeypatch, "1e-20")
+        assert calls == 1 + 2 * quadrature._MAX_DEPTH
+        assert err > 1e-20 and abs(miss) < 1e-11
 
 
 class TestOrthonormality:
