@@ -1,5 +1,6 @@
 """Coefficients, evaluation, trigonometric representations, and zeros."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -318,6 +319,14 @@ class TestZeroAngles:
                     assert abs(got[k] + got[n - 1 - k] - mp.pi) < ZERO_TOL
                 if n % 2:
                     assert abs(got[n // 2] - mp.pi / 2) < ZERO_TOL
+
+    def test_pinned_repr_digest(self):
+        # sha256 of the repr of every angle for lam 0..5, n 0..9: any change
+        # to the evaluation arithmetic that moves a single digit shows here.
+        angles = [zero_angles(GegenbauerSpec(lam, n), 50)
+                  for lam in range(6) for n in range(10)]
+        assert (hashlib.sha256(repr(angles).encode()).hexdigest()
+                == "3957a072c6e0d2f7f8ed2e08204e339aa31a7f6416f14b3823de4eb81929c6cd")
 
     def test_bisection_fallback(self, monkeypatch):
         specs = [GegenbauerSpec(0, 4), GegenbauerSpec(3, 5), GegenbauerSpec(6, 20)]

@@ -1,5 +1,6 @@
 """Quadrature oracle against known values and exact results."""
 
+import hashlib
 from fractions import Fraction
 
 import mpmath as mp
@@ -167,6 +168,24 @@ class TestOrthonormality:
     def test_unit_norm(self, lam, n):
         got = orthonormality_quadrature(GegenbauerSpec(lam, n), CFG)
         assert abs(got - 1) < 10 * mp.mpf(CFG.target_abs_tol)
+
+
+class TestPinnedOutput:
+    # sha256 of the repr of each oracle's values over a grid: any change to
+    # the integrand arithmetic that moves a single digit shows here.
+    @pytest.mark.parametrize("oracle,lam_max,n_max,digest", [
+        (entropy_quadrature, 5, 9,
+         "7140c6a8deeee6eeb547c8b3f51bb3d6a8acfc8e2d30a9f0be4855deed583a15"),
+        (normalized_entropy_quadrature, 3, 5,
+         "a43f212d686a6bc70f0c4f712521061959b79d8b37c193a1a5c1be7f1b31b63d"),
+        (orthonormality_quadrature, 3, 5,
+         "885d167609a4f2f300a60ae409daf9b70c8e9306b8abbde7e0af06ccd8f059ba"),
+    ], ids=["entropy", "normalized", "orthonormality"])
+    def test_repr_digest(self, oracle, lam_max, n_max, digest):
+        cfg = QuadratureConfig(target_abs_tol=1e-9, working_precision=50)
+        values = [oracle(GegenbauerSpec(lam, n), cfg)
+                  for lam in range(lam_max + 1) for n in range(n_max + 1)]
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == digest
 
 
 class TestConfig:
