@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -256,7 +257,9 @@ def cmd_verify(args) -> int:
             route_ok = True
             for other in (integrals_faa_di_bruno(spec),
                           integrals_standard_rep(spec)):
-                for m, (a, b) in enumerate(zip(reference.values, other.values)):
+                # A missing entry (None) is a mismatch too.
+                for m, (a, b) in enumerate(zip_longest(reference.values,
+                                                       other.values)):
                     if a != b:
                         route_ok = False
                         failures.append(

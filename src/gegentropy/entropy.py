@@ -206,6 +206,8 @@ def integrals_faa_di_bruno(spec: GegenbauerSpec) -> IntegralTable:
 
 def assemble_entropy(spec: GegenbauerSpec, table: IntegralTable) -> ExactEntropy:
     """Combine an integral table into E(C_n) = pi * (exact log-linear)."""
+    if table.spec != spec:
+        raise ValueError(f"integral table is for {table.spec}, not {spec}")
     c, _ = szego_coeffs(spec)
     weights = zip(table.values, beta_vector(spec), strict=True)
     total = sum((v * b for v, b in weights), ZERO)

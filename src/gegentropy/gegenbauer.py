@@ -18,8 +18,10 @@ Representations, with x = cos(theta):
 The szego sine series terminates after lam terms exactly because
 (1-lam)_v = 0 for v >= lam when lam is a positive integer.
 
-The evaluators sum both series by Clenshaw's recurrence in 2 cos(2t), so the
-standard form costs one mp.cos_sin per evaluation whatever its length.
+The evaluators sum both series by Clenshaw's recurrence in 2 cos(2t), in
+fixed point: Python integers with mp.prec + 10 fraction bits, that is 10
+guard bits beyond the working precision, rounded to an mpf once at the end.
+The standard form costs one mpf_cos_sin per evaluation whatever its length.
 
 lam = 0 denotes the Chebyshev-T limit and is represented explicitly
 (T_n(cos t) = cos(n t)) instead of through coefficient limits, which would
@@ -34,6 +36,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple, Union
 
 import mpmath as mp
+from mpmath import libmp
 
 from .exact import DEFAULT_PRECISION, MIN_PRECISION, RationalLike, require_int, to_mpf
 
@@ -91,12 +94,32 @@ def szego_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, List[Fraction]]:
     return c, alphas
 
 
-def _clenshaw(weights: List[mp.mpf], x2, phi0, phi1) -> mp.mpf:
-    """sum_k weights[k] phi_k for phi_(k+1) = x2 phi_k - phi_(k-1), backwards."""
+#: Fraction bits the fixed-point series carry beyond the working precision.
+_GUARD_BITS = 10
+
+
+def _cos_sin_fixed(theta) -> Tuple[int, int, int]:
+    """(cos theta, sin theta, bits), fixed point with mp.prec + 10 fraction bits."""
+    bits = mp.mp.prec + _GUARD_BITS
+    c, s = libmp.mpf_cos_sin(mp.convert(theta)._mpf_, bits)
+    return libmp.to_fixed(c, bits), libmp.to_fixed(s, bits), bits
+
+
+def _from_fixed(value: int, bits: int) -> mp.mpf:
+    """The fixed-point value / 2^bits, rounded to the current precision."""
+    return mp.make_mpf(
+        libmp.from_man_exp(value, -bits, mp.mp.prec, libmp.round_nearest))
+
+
+def _clenshaw(weights: List[int], x2: int, phi0: int, phi1: int, bits: int) -> int:
+    """sum_k weights[k] phi_k for phi_(k+1) = x2 phi_k - phi_(k-1), backwards.
+
+    Every argument and the result are fixed-point with `bits` fraction bits.
+    """
     b1 = b2 = 0
     for w in weights[:0:-1]:
-        b1, b2 = w + x2 * b1 - b2, b1
-    return weights[0] * phi0 + b1 * phi1 - b2 * phi0
+        b1, b2 = w + (x2 * b1 >> bits) - b2, b1
+    return weights[0] * phi0 + b1 * phi1 - b2 * phi0 >> bits
 
 
 def _folded_weights(spec: GegenbauerSpec) -> List[mp.mpf]:
@@ -114,18 +137,34 @@ def _folded_weights(spec: GegenbauerSpec) -> List[mp.mpf]:
 
 
 def _folded_series(n: int, weights: List[mp.mpf],
-                   sine: bool = False) -> Callable[[mp.mpf, mp.mpf], mp.mpf]:
-    """(cos t, sin t) -> sum_k weights[k] wave((2k + n mod 2) t), wave cos or sin.
+                   sine: bool = False) -> Callable[[int, int, int], int]:
+    """(cos t, sin t, bits) -> sum_k weights[k] wave((2k + n mod 2) t), wave cos or sin.
 
-    The waves obey _clenshaw's recurrence with x2 = 2 cos 2t.
+    Arguments and result are fixed-point with `bits` fraction bits (see
+    _cos_sin_fixed).  The waves obey _clenshaw's recurrence with x2 = 2 cos 2t.
     """
-    def evaluate(c, s):
-        x2 = 2 - 4 * s * s  # 2 cos 2t, accurate to rounding as t -> 0
+    fixed = {}  # bits -> the weights in fixed point, converted once
+
+    def evaluate(c, s, bits):
+        if bits not in fixed:
+            fixed[bits] = [libmp.to_fixed(w._mpf_, bits) for w in weights]
+        one = 1 << bits
+        x2 = (2 << bits) - (s * s >> bits - 2)  # 2 cos 2t, accurate as t -> 0
         if n % 2:
-            seeds = (s, s * (x2 + 1)) if sine else (c, c * (x2 - 1))
+            seeds = ((s, s * (x2 + one) >> bits) if sine
+                     else (c, c * (x2 - one) >> bits))
         else:
-            seeds = (0, 2 * s * c) if sine else (1, x2 / 2)
-        return _clenshaw(weights, x2, *seeds)
+            seeds = (0, s * c >> bits - 1) if sine else (one, x2 >> 1)
+        return _clenshaw(fixed[bits], x2, *seeds, bits)
+
+    return evaluate
+
+
+def _at_angle(series: Callable[[int, int, int], int]) -> Callable[[mp.mpf], mp.mpf]:
+    """theta -> a _folded_series at theta, as an mpf at the current precision."""
+    def evaluate(theta):
+        c, s, bits = _cos_sin_fixed(theta)
+        return _from_fixed(series(c, s, bits), bits)
 
     return evaluate
 
@@ -135,17 +174,15 @@ def standard_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
 
     The coefficients are rounded once, at the mpmath precision current at
     this call.  The sum walks the folded frequencies n mod 2, ..., n-2, n
-    from one mp.cos_sin per evaluation.
+    in fixed point from one cos_sin per evaluation.
     """
-    series = _folded_series(spec.n, _folded_weights(spec))
-    return lambda theta: series(*mp.cos_sin(theta))
+    return _at_angle(_folded_series(spec.n, _folded_weights(spec)))
 
 
 def _standard_slope(n: int, weights: List[mp.mpf]) -> Callable[[mp.mpf], mp.mpf]:
     """theta -> d/dtheta of the folded cosine series: its sine series."""
-    series = _folded_series(
-        n, [-(2 * k + n % 2) * w for k, w in enumerate(weights)], sine=True)
-    return lambda theta: series(*mp.cos_sin(theta))
+    return _at_angle(_folded_series(
+        n, [-(2 * k + n % 2) * w for k, w in enumerate(weights)], sine=True))
 
 
 def szego_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
@@ -157,16 +194,24 @@ def szego_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
     """
     c, alphas = szego_coeffs(spec)
     prefactor = to_mpf(c)
-    weights = [to_mpf(a) for a in alphas]
+    weights = [to_mpf(a)._mpf_ for a in alphas]
     n, power = spec.n, 2 * spec.lam - 1
 
     def evaluate(theta):
+        theta = mp.convert(theta)
         s = mp.sin(theta)
         if s == 0:
             raise ValueError("szego representation is singular at theta = 0, pi")
-        # Ascending frequencies n+1, n+3, ...
-        return prefactor * _clenshaw(weights, 2 - 4 * s * s, mp.sin((n + 1) * theta),
-                                     mp.sin((n + 3) * theta)) / s ** power
+        cos_t, sin_t, bits = _cos_sin_fixed(theta)
+        cos_n, sin_n = (libmp.to_fixed(v, bits) for v in libmp.mpf_cos_sin(
+            libmp.mpf_mul_int(theta._mpf_, n + 1, bits + n.bit_length()), bits))
+        x2 = (2 << bits) - (sin_t * sin_t >> bits - 2)
+        # Ascending frequencies n+1, n+3, ...: sin((n+3)t) from the angle sum.
+        seeds = (sin_n,
+                 (sin_n * x2 >> 1) + cos_n * (sin_t * cos_t >> bits - 1) >> bits)
+        total = _clenshaw([libmp.to_fixed(w, bits) for w in weights], x2,
+                          *seeds, bits)
+        return prefactor * _from_fixed(total, bits) / s ** power
 
     return evaluate
 
@@ -256,8 +301,7 @@ def zero_angles(spec: GegenbauerSpec, precision: int = DEFAULT_PRECISION) -> Lis
         return []
     with mp.workdps(precision + 10):
         weights = _folded_weights(spec)
-        series = _folded_series(n, weights)
-        g = lambda t: series(*mp.cos_sin(t))
+        g = _at_angle(_folded_series(n, weights))
         slope = _standard_slope(n, weights)
         # The points pi i / (8n+9) of the full-range grid below pi/2, which
         # miss the zeros of T_n and U_n and put pi/2 mid-cell; pi/2 itself

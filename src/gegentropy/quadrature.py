@@ -13,9 +13,11 @@ log t (bare log moments).  [0, pi/2] is split at those angles (pi/2 is one
 for odd n) and each panel is handled by a tanh-sinh rule, which absorbs
 endpoint singularities of exactly this kind; a panel whose error estimate
 exceeds its share of the budget is bisected recursively.  The zero angles
-come from Newton steps on the standard representation.  The weighted
-integrands take one mp.cos_sin per node, for the folded cosine series (a
-Clenshaw sum, see gegenbauer) and the weight sin(t)^(2 lam).
+come from Newton steps on the standard representation.  Each node of a
+weighted integrand costs one mpf_cos_sin and one mpf_log: the folded cosine
+series is a Clenshaw sum in Python integers with 10 guard bits (see
+gegenbauer), and C^2, the weight sin(t)^(2 lam) and their product are
+integer operations too, rounded to an mpf once.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ from fractions import Fraction
 from typing import Callable, List, Tuple
 
 import mpmath as mp
+from mpmath import libmp
 
 from .exact import MIN_PRECISION, require_int, to_mpf
-from .gegenbauer import (GegenbauerSpec, _folded_series, _folded_weights,
-                         pochhammer, standard_representation, zero_angles)
+from .gegenbauer import (GegenbauerSpec, _cos_sin_fixed, _folded_series,
+                         _folded_weights, pochhammer, standard_representation,
+                         zero_angles)
 
 
 @dataclass(frozen=True)
@@ -98,17 +102,35 @@ def _integrate(f, knots: List[mp.mpf], cfg: QuadratureConfig) -> mp.mpf:
 
 
 def _weighted_integral(spec: GegenbauerSpec, cfg: QuadratureConfig,
-                       integrand: Callable[[mp.mpf, mp.mpf], mp.mpf]) -> mp.mpf:
-    """int_0^pi integrand(C_n(cos t), sin(t)^(2 lam)) dt, as twice the half range.
+                       scale=1, weight=1, log: bool = False) -> mp.mpf:
+    """int_0^pi weight g [log g] sin(t)^(2 lam) dt, g = scale C_n(cos t)^2.
 
-    The caller holds cfg's working precision.
+    Twice the half range; the log factor is taken when `log` is set, and a
+    node where g = 0 adds its limit value 0.  Per node g and its weighted
+    product are exact integers over powers of two, built from the
+    fixed-point cos_sin and Clenshaw sum; then one mpf_log and one rounding
+    to an mpf.  The caller holds cfg's working precision.
     """
     poly = _folded_series(spec.n, _folded_weights(spec))
     two_lam = 2 * spec.lam
+    scale_man, scale_exp = mp.mpf(scale).man_exp  # both constants are > 0
+    weight_man, weight_exp = mp.mpf(weight).man_exp
 
     def f(theta):
-        c, s = mp.cos_sin(theta)
-        return integrand(poly(c, s), s ** two_lam)
+        c, s, bits = _cos_sin_fixed(theta)
+        p = poly(c, s, bits)
+        g = scale_man * p * p
+        if not g:
+            return mp.zero
+        g_exp = scale_exp - 2 * bits
+        man = weight_man * g * s ** two_lam
+        exp = weight_exp + g_exp - two_lam * bits
+        if log:
+            sign, log_man, log_exp, _ = libmp.mpf_log(
+                libmp.from_man_exp(g, g_exp), mp.mp.prec)
+            man, exp = (-man if sign else man) * log_man, exp + log_exp
+        return mp.make_mpf(libmp.from_man_exp(man, exp, mp.mp.prec,
+                                              libmp.round_nearest))
 
     return _integrate(f, _panel_knots(spec, cfg), cfg)
 
@@ -121,14 +143,8 @@ def entropy_quadrature(spec: GegenbauerSpec,
     half range split at the zero angles, where the integrand has its
     t^2 log t^2 kinks.
     """
-    def integrand(c, w):
-        csq = c * c
-        if csq == 0:
-            return mp.mpf(0)  # limit value of t^2 log t^2
-        return csq * mp.log(csq) * w
-
     with mp.workdps(cfg.working_precision):
-        return -_weighted_integral(spec, cfg, integrand)
+        return -_weighted_integral(spec, cfg, log=True)
 
 
 def integral_I_quadrature(spec: GegenbauerSpec, m: int,
@@ -171,21 +187,11 @@ def normalized_entropy_quadrature(spec: GegenbauerSpec,
                                   cfg: QuadratureConfig = QuadratureConfig()) -> mp.mpf:
     """Direct estimate of the orthonormalized entropy within cfg.target_abs_tol."""
     with mp.workdps(cfg.working_precision):
-        s2f, weight_const = _orthonormal_scales(spec)
-
-        def integrand(c, w):
-            gsq = s2f * c ** 2
-            if gsq == 0:
-                return mp.mpf(0)
-            return gsq * mp.log(gsq) * w * weight_const
-
-        return -_weighted_integral(spec, cfg, integrand)
+        return -_weighted_integral(spec, cfg, *_orthonormal_scales(spec), log=True)
 
 
 def orthonormality_quadrature(spec: GegenbauerSpec,
                               cfg: QuadratureConfig = QuadratureConfig()) -> mp.mpf:
     """int of (orthonormalized C_n)^2 against its weight; exactly 1 when sound."""
     with mp.workdps(cfg.working_precision):
-        s2f, weight_const = _orthonormal_scales(spec)
-        return _weighted_integral(
-            spec, cfg, lambda c, w: s2f * c ** 2 * w * weight_const)
+        return _weighted_integral(spec, cfg, *_orthonormal_scales(spec))

@@ -235,22 +235,24 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("route", ["integrals_faa_di_bruno",
                                        "integrals_standard_rep"])
     def test_route_mismatch_names_entry(self, capsys, monkeypatch, route):
+        # One entry scaled, then the table one entry short: each must fail
+        # and name the entry and the route.
         real = getattr(cli, route)
+        name = route.removeprefix("integrals_").replace("_", "-")
+        for m, corrupt in [(2, lambda v: v[:2] + (v[2] * F(3),) + v[3:]),
+                           (3, lambda v: v[:-1])]:
+            def corrupted(spec, corrupt=corrupt):
+                table = real(spec)
+                if (spec.lam, spec.n) == (2, 1):
+                    return IntegralTable(spec, corrupt(table.values), table.route)
+                return table
 
-        def corrupted(spec):
-            table = real(spec)
-            if (spec.lam, spec.n) == (2, 1):
-                values = list(table.values)
-                values[2] = values[2] * F(3)
-                return IntegralTable(spec, tuple(values), table.route)
-            return table
-
-        monkeypatch.setattr(cli, route, corrupted)
-        code, out, _ = run(capsys, "verify", "--lambda-max", "2",
-                           "--n-max", "1", "--tol", "1e-8",
-                           "--skip-quadrature")
-        assert code == 1
-        assert "lambda=2 n=1 m=2" in out
+            monkeypatch.setattr(cli, route, corrupted)
+            code, out, _ = run(capsys, "verify", "--lambda-max", "2",
+                               "--n-max", "1", "--tol", "1e-8",
+                               "--skip-quadrature")
+            assert code == 1
+            assert f"lambda=2 n=1 m={m} (series-log vs {name})" in out
 
     def test_tolerance_not_met_reported(self, capsys, monkeypatch):
         monkeypatch.setattr(gegentropy.quadrature, "_MAX_DEPTH", 0)

@@ -195,6 +195,12 @@ class TestEntropyExact:
             with pytest.raises(ValueError):
                 assemble_entropy(GegenbauerSpec(4, 5), integrals_series_log(other))
 
+    def test_assembly_rejects_table_of_other_spec(self):
+        # Same length (n + lam + 1 = 6), so only the spec tells them apart.
+        with pytest.raises(ValueError):
+            assemble_entropy(GegenbauerSpec(3, 2),
+                             integrals_series_log(GegenbauerSpec(2, 3)))
+
 
 class TestClosedForms:
     def test_lambda0_normalized_constants(self):

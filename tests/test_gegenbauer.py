@@ -228,6 +228,33 @@ class TestTrigRepresentations:
             assert worst < (mp.mpf("2e-48") * weight_sum.numerator
                             / weight_sum.denominator)
 
+    @pytest.mark.parametrize("lam,n", [(20, 100), (30, 300)])
+    def test_series_accuracy_near_ends(self, lam, n):
+        # The 50-digit cosine series and its sine series (the slope) against
+        # their terms summed one by one at 300 digits, near t = 0 and pi/2,
+        # relative to the sum of the |weights| of each.
+        spec = GegenbauerSpec(lam, n)
+        d = standard_coeffs(spec)
+        offsets = ["1e-12", "1e-6", "1e-3", "1e-2", "1e-1"]
+        with mp.workdps(50):
+            angles = [mp.mpf(x) for x in offsets]
+            angles += [mp.pi / 2 - mp.mpf(x) for x in offsets] + [mp.pi / 2]
+            rep = standard_representation(spec)
+            slope = gegenbauer._standard_slope(n, gegenbauer._folded_weights(spec))
+            got = [(rep(t), slope(t)) for t in angles]
+        with mp.workdps(300):
+            weights = [mp.mpf(dm.numerator) / dm.denominator for dm in d]
+            bounds = (mp.mpf("2e-48") * mp.fsum(weights),
+                      mp.mpf("2e-48") * mp.fsum(w * abs(n - 2 * m)
+                                                for m, w in enumerate(weights)))
+            for t, (value, derivative) in zip(angles, got):
+                want = mp.fsum(w * mp.cos((n - 2 * m) * t)
+                               for m, w in enumerate(weights))
+                want_slope = -mp.fsum(w * (n - 2 * m) * mp.sin((n - 2 * m) * t)
+                                      for m, w in enumerate(weights))
+                assert abs(value - want) < bounds[0]
+                assert abs(derivative - want_slope) < bounds[1]
+
     def test_trig_recurrence_identity(self):
         # 2(lam-1) sin^2 t C_n^(lam) = (2 lam + n - 1) cos t C_{n+1}^(lam-1)
         #                              - (n + 2) C_{n+2}^(lam-1)
