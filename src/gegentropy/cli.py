@@ -22,9 +22,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import zip_longest
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
+from itertools import zip_longest
 from typing import List, Optional, Tuple
 
 import mpmath as mp

@@ -122,6 +122,18 @@ def _clenshaw(weights: List[int], x2: int, phi0: int, phi1: int, bits: int) -> i
     return weights[0] * phi0 + b1 * phi1 - b2 * phi0 >> bits
 
 
+def _fixed_weights(weights: List[mp.mpf]) -> Callable[[int], List[int]]:
+    """bits -> the weights as fixed-point integers, converted once per bits."""
+    cache = {}
+
+    def at(bits):
+        if bits not in cache:
+            cache[bits] = [libmp.to_fixed(w._mpf_, bits) for w in weights]
+        return cache[bits]
+
+    return at
+
+
 def _folded_weights(spec: GegenbauerSpec) -> List[mp.mpf]:
     """Weights of 1 or cos(t), then cos(2t) or cos(3t), ..., cos(n t) in C_n(cos t).
 
@@ -143,11 +155,9 @@ def _folded_series(n: int, weights: List[mp.mpf],
     Arguments and result are fixed-point with `bits` fraction bits (see
     _cos_sin_fixed).  The waves obey _clenshaw's recurrence with x2 = 2 cos 2t.
     """
-    fixed = {}  # bits -> the weights in fixed point, converted once
+    fixed = _fixed_weights(weights)
 
     def evaluate(c, s, bits):
-        if bits not in fixed:
-            fixed[bits] = [libmp.to_fixed(w._mpf_, bits) for w in weights]
         one = 1 << bits
         x2 = (2 << bits) - (s * s >> bits - 2)  # 2 cos 2t, accurate as t -> 0
         if n % 2:
@@ -155,7 +165,7 @@ def _folded_series(n: int, weights: List[mp.mpf],
                      else (c, c * (x2 - one) >> bits))
         else:
             seeds = (0, s * c >> bits - 1) if sine else (one, x2 >> 1)
-        return _clenshaw(fixed[bits], x2, *seeds, bits)
+        return _clenshaw(fixed(bits), x2, *seeds, bits)
 
     return evaluate
 
@@ -194,7 +204,7 @@ def szego_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
     """
     c, alphas = szego_coeffs(spec)
     prefactor = to_mpf(c)
-    weights = [to_mpf(a)._mpf_ for a in alphas]
+    fixed = _fixed_weights([to_mpf(a) for a in alphas])
     n, power = spec.n, 2 * spec.lam - 1
 
     def evaluate(theta):
@@ -209,8 +219,7 @@ def szego_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
         # Ascending frequencies n+1, n+3, ...: sin((n+3)t) from the angle sum.
         seeds = (sin_n,
                  (sin_n * x2 >> 1) + cos_n * (sin_t * cos_t >> bits - 1) >> bits)
-        total = _clenshaw([libmp.to_fixed(w, bits) for w in weights], x2,
-                          *seeds, bits)
+        total = _clenshaw(fixed(bits), x2, *seeds, bits)
         return prefactor * _from_fixed(total, bits) / s ** power
 
     return evaluate

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import mpmath as mp
 from mpmath import libmp
