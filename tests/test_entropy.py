@@ -1,5 +1,6 @@
 """Integral tables by three routes and the exact entropy assembly."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -147,6 +148,21 @@ class TestStandardRepRoute:
             spec = GegenbauerSpec(lam, n)
             assert (integrals_standard_rep(spec).values
                     == integrals_series_log(spec).values)
+
+
+class TestPinnedOutput:
+    # sha256 of the repr over lam 1..12, n 0, 3, ..., 39: a rewrite of the
+    # series builders must leave every exact value as it was.
+    @pytest.mark.parametrize("build,digest", [
+        (beta_vector,
+         "c4a37897c0e46d97609ea3272f76aa55ab31cf928b01d0c192b03153e22d64ef"),
+        (lambda spec: integrals_series_log(spec).values,
+         "24e1596339a95d5c92a130fce2b4dcb99e1b803e44130b159d059186ae4710ba"),
+    ], ids=["beta_vector", "series_log"])
+    def test_repr_digest(self, build, digest):
+        values = [build(GegenbauerSpec(lam, n))
+                  for lam in range(1, 13) for n in range(0, 40, 3)]
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == digest
 
 
 class TestIntegralTableInvariants:
