@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from itertools import zip_longest
 from typing import List, Optional, Tuple
@@ -100,9 +100,12 @@ def format_exact_entropy(e: ExactEntropy) -> str:
 
 
 def round_half_even(x: mp.mpf, places: int = 3) -> str:
-    """Fixed-point rendering with banker's rounding at `places` decimals."""
-    d = Decimal(mp.nstr(x, 30))
-    return str(d.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN))
+    """Fixed-point rendering with banker's rounding at `places` decimals,
+    from 30 significant digits or 2 past the last kept decimal if more."""
+    digits = max(30, len(str(int(abs(x)))) + places + 2)
+    return str(Decimal(mp.nstr(x, digits)).quantize(
+        Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN,
+        context=Context(prec=digits)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ combination of the Fourier-cosine moments
 
     E(C_n) = -(c/2) * sum_{m=0}^{n+lam} beta_m I_m,
 
-where beta_0 = a_0 d_0 and, for m >= 1, beta_m combines the szego sine
-coefficients a_v with first differences of the standard cosine coefficients
-d_j, with the override beta_{n+lam} = -a_{lam-1} d_n.
+where beta_m is the coefficient of w^m in the product A(w) (1-w) D(w) of the
+szego sine coefficients, A(w) = sum_v a_v w^v, and the first differences of
+the standard cosine coefficients, D(w) = sum_j d_j w^j.
 
 Every I_m is pi times an exact rational for m >= 1, and
 I_0 = 2 pi log((lam)_n / n!).  Three independent routes compute the same
@@ -82,23 +82,20 @@ def _require_integer_parameter(spec: GegenbauerSpec) -> None:
 def beta_vector(spec: GegenbauerSpec) -> Tuple[Fraction, ...]:
     """Weights beta_0 .. beta_{n+lam} of I_0 .. I_{n+lam} in the assembly.
 
-    beta_0 = a_0 d_0, beta_m = sum_v a_v (d_{m-v} - d_{m-v-1}) for
-    1 <= m < n + lam, with d_j read as 0 for j outside 0..n, and
-    beta_{n+lam} = -a_{lam-1} d_n.
+    beta is the coefficient list of A(w) (1-w) D(w), with
+    A(w) = sum_v a_v w^v and D(w) = sum_j d_j w^j: beta_m = sum_v a_v
+    (d_{m-v} - d_{m-v-1}), d_j read as 0 for j outside 0..n.
     """
     _require_integer_parameter(spec)
     lam, n = spec.lam, spec.n
     _, alphas = szego_coeffs(spec)
-    # d_j sits at d[j + lam] for -lam <= j <= n + lam.
-    pad = (Fraction(0),) * lam
-    d = pad + standard_coeffs(spec) + pad
-    beta = [Fraction(0)] * (n + lam + 1)
-    beta[0] = alphas[0] * d[lam]
-    for m in range(1, n + lam):
-        beta[m] = sum((alphas[v] * (d[m - v + lam] - d[m - v + lam - 1])
-                       for v in range(lam)), Fraction(0))
-    beta[n + lam] = -alphas[lam - 1] * d[n + lam]
-    return tuple(beta)
+    d = standard_coeffs(spec)
+    zero = Fraction(0)
+    # (1-w) D(w): d_0, d_1 - d_0, ..., d_n - d_{n-1}, -d_n.
+    diff = [b - a for a, b in zip((zero,) + d, d + (zero,))]
+    return tuple(sum((alphas[v] * diff[m - v]
+                      for v in range(max(0, m - n - 1), min(lam, m + 1))), zero)
+                 for m in range(n + lam + 1))
 
 
 def _log_series(coeffs: Dict[int, Fraction], order: int) -> List[Fraction]:
@@ -138,15 +135,9 @@ def integrals_series_log(spec: GegenbauerSpec) -> IntegralTable:
     lam, n = spec.lam, spec.n
     _, alphas = szego_coeffs(spec)
     order = n + lam
-    poly: Dict[int, Fraction] = {}
-    for v in range(lam):
-        hi = n + lam + v
-        if hi <= order:
-            poly[hi] = poly.get(hi, Fraction(0)) + alphas[v]
-        lo = lam - 1 - v
-        poly[lo] = poly.get(lo, Fraction(0)) - alphas[v]
-    q0 = poly.pop(0)  # = -a_{lam-1}, never zero for integer parameter
-    normalized = {i: a / q0 for i, a in poly.items() if a != 0}
+    # Q(w)/Q(0) up to w^order, Q(0) = -a_{lam-1}: no a_v vanishes for v < lam.
+    normalized = {lam - 1 - v: alphas[v] / alphas[lam - 1] for v in range(lam - 1)}
+    normalized[order] = -alphas[0] / alphas[lam - 1]
     b = _log_series(normalized, order)
     rationals = [Fraction(2 * lam - 1, m) + b[m] for m in range(1, order + 1)]
     return _as_table(spec, rationals, ROUTE_SERIES_LOG)

@@ -195,12 +195,29 @@ def entropy_to_json_dict(e: ExactEntropy, precision: int = DEFAULT_PRECISION) ->
     }
 
 
+def _rational(text) -> Fraction:
+    """A rational sent as a "p/q" string; ValueError for anything else."""
+    try:
+        if isinstance(text, str):
+            return Fraction(text)
+    except ZeroDivisionError:
+        pass
+    raise ValueError(f"expected a 'p/q' string with q != 0, got {text!r}")
+
+
+def _log_linear(d: dict, part: str) -> LogLinear:
+    terms = d[part + "_log"]
+    for t in terms:
+        require_int("prime", t["prime"], 2)
+    logs = {t["prime"]: _rational(t["coeff"]) for t in terms}
+    if len(logs) < len(terms):
+        raise ValueError(f"a prime is listed twice in {part}_log")
+    return LogLinear(_rational(d[part + "_const"]), logs)
+
+
 def entropy_from_json_dict(d: dict) -> ExactEntropy:
-    pi = LogLinear(Fraction(d["pi_const"]),
-                   {int(t["prime"]): Fraction(t["coeff"]) for t in d["pi_log"]})
-    plain = LogLinear(Fraction(d["plain_const"]),
-                      {int(t["prime"]): Fraction(t["coeff"]) for t in d["plain_log"]})
-    return ExactEntropy(pi, plain)
+    """Inverse of entropy_to_json_dict; ValueError on a malformed value."""
+    return ExactEntropy(_log_linear(d, "pi"), _log_linear(d, "plain"))
 
 
 def dumps_json(obj) -> str:

@@ -21,7 +21,8 @@ The szego sine series terminates after lam terms exactly because
 The evaluators sum both series by Clenshaw's recurrence in 2 cos(2t), in
 fixed point: Python integers with mp.prec + 10 fraction bits, that is 10
 guard bits beyond the working precision, rounded to an mpf once at the end.
-The standard form costs one mpf_cos_sin per evaluation whatever its length.
+The szego sum is the folded sine series of n+1 with its first (n+1)//2
+weights zero, so each form costs one mpf_cos_sin per evaluation.
 
 lam = 0 denotes the Chebyshev-T limit and is represented explicitly
 (T_n(cos t) = cos(n t)) instead of through coefficient limits, which would
@@ -122,18 +123,6 @@ def _clenshaw(weights: List[int], x2: int, phi0: int, phi1: int, bits: int) -> i
     return weights[0] * phi0 + b1 * phi1 - b2 * phi0 >> bits
 
 
-def _fixed_weights(weights: List[mp.mpf]) -> Callable[[int], List[int]]:
-    """bits -> the weights as fixed-point integers, converted once per bits."""
-    cache = {}
-
-    def at(bits):
-        if bits not in cache:
-            cache[bits] = [libmp.to_fixed(w._mpf_, bits) for w in weights]
-        return cache[bits]
-
-    return at
-
-
 def _folded_weights(spec: GegenbauerSpec) -> List[mp.mpf]:
     """Weights of 1 or cos(t), then cos(2t) or cos(3t), ..., cos(n t) in C_n(cos t).
 
@@ -154,10 +143,13 @@ def _folded_series(n: int, weights: List[mp.mpf],
 
     Arguments and result are fixed-point with `bits` fraction bits (see
     _cos_sin_fixed).  The waves obey _clenshaw's recurrence with x2 = 2 cos 2t.
+    The weights become fixed-point integers once per bits.
     """
-    fixed = _fixed_weights(weights)
+    fixed = {}
 
     def evaluate(c, s, bits):
+        if bits not in fixed:
+            fixed[bits] = [libmp.to_fixed(w._mpf_, bits) for w in weights]
         one = 1 << bits
         x2 = (2 << bits) - (s * s >> bits - 2)  # 2 cos 2t, accurate as t -> 0
         if n % 2:
@@ -165,7 +157,7 @@ def _folded_series(n: int, weights: List[mp.mpf],
                      else (c, c * (x2 - one) >> bits))
         else:
             seeds = (0, s * c >> bits - 1) if sine else (one, x2 >> 1)
-        return _clenshaw(fixed(bits), x2, *seeds, bits)
+        return _clenshaw(fixed[bits], x2, *seeds, bits)
 
     return evaluate
 
@@ -199,28 +191,23 @@ def szego_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
     """theta -> C_n(cos theta) from the szego sine series, lam >= 1.
 
     The coefficients are rounded once, at the mpmath precision current at
-    this call.  The series is divided by (sin theta)^(2 lam - 1), so it is
+    this call.  sum_v a_v sin((n+1+2v) t) is the folded sine series of n+1
+    whose first (n+1)//2 weights are zero, summed from one cos_sin per
+    evaluation.  It is divided by (sin theta)^(2 lam - 1), so it is
     singular at theta = 0 and theta = pi; use the standard form there.
     """
     c, alphas = szego_coeffs(spec)
     prefactor = to_mpf(c)
-    fixed = _fixed_weights([to_mpf(a) for a in alphas])
     n, power = spec.n, 2 * spec.lam - 1
+    series = _folded_series(
+        n + 1, [mp.mpf(0)] * ((n + 1) // 2) + [to_mpf(a) for a in alphas], sine=True)
 
     def evaluate(theta):
-        theta = mp.convert(theta)
-        s = mp.sin(theta)
-        if s == 0:
-            raise ValueError("szego representation is singular at theta = 0, pi")
         cos_t, sin_t, bits = _cos_sin_fixed(theta)
-        cos_n, sin_n = (libmp.to_fixed(v, bits) for v in libmp.mpf_cos_sin(
-            libmp.mpf_mul_int(theta._mpf_, n + 1, bits + n.bit_length()), bits))
-        x2 = (2 << bits) - (sin_t * sin_t >> bits - 2)
-        # Ascending frequencies n+1, n+3, ...: sin((n+3)t) from the angle sum.
-        seeds = (sin_n,
-                 (sin_n * x2 >> 1) + cos_n * (sin_t * cos_t >> bits - 1) >> bits)
-        total = _clenshaw(fixed(bits), x2, *seeds, bits)
-        return prefactor * _from_fixed(total, bits) / s ** power
+        if not sin_t:
+            raise ValueError("szego representation is singular at theta = 0, pi")
+        return (prefactor * _from_fixed(series(cos_t, sin_t, bits), bits)
+                / _from_fixed(sin_t, bits) ** power)
 
     return evaluate
 

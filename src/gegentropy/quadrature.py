@@ -121,7 +121,7 @@ def _weighted_integral(spec: GegenbauerSpec, cfg: QuadratureConfig,
         p = poly(c, s, bits)
         g = scale_man * p * p
         if not g:
-            return mp.zero
+            return mp.mpf(0)
         g_exp = scale_exp - 2 * bits
         man = weight_man * g * s ** two_lam
         exp = weight_exp + g_exp - two_lam * bits

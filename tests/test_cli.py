@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -166,6 +167,19 @@ class TestTableCommand:
         assert len(lines) == 4
         for line in lines:
             assert dumps_json(json.loads(line)) == line
+
+    def test_rounds_values_past_1e25(self, capsys):
+        # E(C_60^(16)) = -1.26e25 has more digits than a 28-digit context.
+        code, out, _ = run(capsys, "table", "--lambda", "16", "--n-max", "60",
+                           "--format", "csv")
+        assert code == 0
+        row = list(csv.reader(io.StringIO(out)))[-1]
+        assert row[:2] == ["16", "60"]
+        assert len(row[3].split(".")[1]) == 3
+        _, full, _ = run(capsys, "entropy", "--lambda", "16", "--n", "60",
+                         "--format", "decimal")
+        assert Decimal(row[3]) == Decimal(full).quantize(
+            Decimal("0.001"), rounding=ROUND_HALF_EVEN, context=Context(prec=100))
 
     def test_requires_positive_bounds(self, capsys):
         assert run(capsys, "table", "--lambda", "0", "--n-max", "3")[0] == 2

@@ -152,3 +152,36 @@ class TestExactEntropyJson:
             plain_part=LogLinear(F(3), {7: F(2, 3)}))
         text = dumps_json(entropy_to_json_dict(e, 64))
         assert dumps_json(json.loads(text)) == text
+
+    @pytest.mark.parametrize("prime", [2.5, "2"])
+    def test_rejects_non_integer_prime(self, prime):
+        d = entropy_to_json_dict(ExactEntropy(pi_part=log_linear_from(1, 2)))
+        d["pi_log"][0]["prime"] = prime
+        with pytest.raises(ValueError):
+            entropy_from_json_dict(d)
+
+    def test_rejects_repeated_prime(self):
+        d = entropy_to_json_dict(ExactEntropy(plain_part=log_linear_from(1, 2)))
+        d["plain_log"].append({"prime": 2, "coeff": "3"})
+        with pytest.raises(ValueError):
+            entropy_from_json_dict(d)
+
+    @pytest.mark.parametrize("field", ["pi_const", "plain_const", "coeff"])
+    def test_rejects_float_rational(self, field):
+        d = entropy_to_json_dict(ExactEntropy(pi_part=log_linear_from(1, 2)))
+        if field == "coeff":
+            d["pi_log"][0]["coeff"] = 0.1
+        else:
+            d[field] = 0.1
+        with pytest.raises(ValueError):
+            entropy_from_json_dict(d)
+
+    @pytest.mark.parametrize("field", ["pi_const", "plain_const", "coeff"])
+    def test_rejects_zero_denominator(self, field):
+        d = entropy_to_json_dict(ExactEntropy(pi_part=log_linear_from(1, 2)))
+        if field == "coeff":
+            d["pi_log"][0]["coeff"] = "1/0"
+        else:
+            d[field] = "1/0"
+        with pytest.raises(ValueError):
+            entropy_from_json_dict(d)

@@ -255,6 +255,29 @@ class TestTrigRepresentations:
                 assert abs(value - want) < bounds[0]
                 assert abs(derivative - want_slope) < bounds[1]
 
+    @pytest.mark.parametrize("lam,n", [(20, 100), (30, 300)])
+    def test_szego_accuracy_at_large_specs(self, lam, n):
+        # The 50-digit szego form times sin(t)^(2 lam - 1) / c against its
+        # sine series summed term by term at 300 digits, relative to the sum
+        # of the |a_v|, on a grid and near t = 0 and pi/2.
+        spec = GegenbauerSpec(lam, n)
+        c, alphas = szego_coeffs(spec)
+        offsets = ["1e-12", "1e-6", "1e-3", "1e-2", "1e-1"]
+        with mp.workdps(50):
+            angles = [mp.pi * k / 194 for k in range(1, 97)]
+            angles += [mp.mpf(x) for x in offsets]
+            angles += [mp.pi / 2 - mp.mpf(x) for x in offsets]
+            rep = szego_representation(spec)
+            got = [rep(t) for t in angles]
+        with mp.workdps(300):
+            a = [mp.mpf(av.numerator) / av.denominator for av in alphas]
+            scale = mp.mpf(c.numerator) / c.denominator
+            bound = mp.mpf("2e-48") * mp.fsum(abs(av) for av in a)
+            for t, value in zip(angles, got):
+                want = mp.fsum(av * mp.sin((n + 1 + 2 * v) * t)
+                               for v, av in enumerate(a))
+                assert abs(value * mp.sin(t) ** (2 * lam - 1) / scale - want) < bound
+
     def test_trig_recurrence_identity(self):
         # 2(lam-1) sin^2 t C_n^(lam) = (2 lam + n - 1) cos t C_{n+1}^(lam-1)
         #                              - (n + 2) C_{n+2}^(lam-1)

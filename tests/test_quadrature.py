@@ -69,6 +69,19 @@ class TestEntropyQuadrature:
         assert abs(abs(info.value.estimate) - abs(want)) < 1e-8
 
 
+    def test_zero_node_adds_zero(self, monkeypatch):
+        # T_1(cos t) = cos t is 0 in fixed point at pi/2 rounded from 200
+        # digits, where the integrand's limit value is 0.
+        integrands = []
+        monkeypatch.setattr(quadrature, "_integrate",
+                            lambda f, knots, cfg: integrands.append(f) or mp.mpf(0))
+        entropy_quadrature(GegenbauerSpec(0, 1))
+        with mp.workdps(200):
+            t = +(mp.pi / 2)
+        with mp.workdps(50):
+            assert integrands[0](t) == 0
+
+
 class TestIntegralMoments:
     def test_lambda1_n2_m1(self):
         got = integral_I_quadrature(GegenbauerSpec(1, 2), 1, CFG)
