@@ -67,8 +67,7 @@ def _grouped_log_terms(v: LogLinear, pi: bool) -> List[Tuple[Fraction, str]]:
                 base *= p ** (e / g).numerator
             terms.append((g, wrap(f"log({base})")))
         else:
-            for p, e in v.log_terms.items():
-                terms.append((e, wrap(f"log({p})")))
+            terms.extend((e, wrap(f"log({p})")) for p, e in v.log_terms.items())
     if v.constant != 0:
         terms.append((v.constant, "pi" if pi else ""))
     return terms
@@ -132,10 +131,8 @@ def _entropy_record(spec: GegenbauerSpec, normalized: bool, precision: int,
     e = normalized_entropy_exact(spec) if normalized else entropy_exact(spec)
     route = "closed-form" if spec.lam == 0 else ROUTE_SERIES_LOG
     value = e.evaluate(precision)
-    if decimal_places is None:
-        dec = decimal_string(value, precision)
-    else:
-        dec = round_half_even(value, decimal_places)
+    dec = (decimal_string(value, precision) if decimal_places is None
+           else round_half_even(value, decimal_places))
     return OutputRecord(spec.lam, spec.n, normalized, e, dec, route)
 
 

@@ -51,8 +51,8 @@ import mpmath as mp
 
 from .exact import (DEFAULT_PRECISION, ExactEntropy, LogLinear, ZERO,
                     log_linear_from, to_mpf)
-from .gegenbauer import (GegenbauerSpec, pochhammer, standard_coeffs,
-                         szego_coeffs)
+from .gegenbauer import (GegenbauerSpec, orthonormal_scales, pochhammer,
+                         standard_coeffs, szego_coeffs)
 
 ROUTE_SERIES_LOG = "series-log"
 ROUTE_FAA_DI_BRUNO = "faa-di-bruno"
@@ -150,11 +150,9 @@ def integrals_standard_rep(spec: GegenbauerSpec) -> IntegralTable:
     (1-z^2) factor, so the table entries are the bare Taylor coefficients.
     """
     _require_integer_parameter(spec)
-    lam, n = spec.lam, spec.n
-    order = n + lam
+    n = spec.n
     d = standard_coeffs(spec)
-    poly = {n - j: d[j] / d[n] for j in range(n)}
-    b = _log_series(poly, order)
+    b = _log_series({n - j: d[j] / d[n] for j in range(n)}, n + spec.lam)
     return _as_table(spec, b[1:], ROUTE_STANDARD_REP)
 
 
@@ -207,7 +205,6 @@ def assemble_entropy(spec: GegenbauerSpec, table: IntegralTable) -> ExactEntropy
 
 def entropy_exact(spec: GegenbauerSpec) -> ExactEntropy:
     """Exact unnormalized entropy E(C_n^(lam)), lam >= 1."""
-    _require_integer_parameter(spec)
     return assemble_entropy(spec, integrals_series_log(spec))
 
 
@@ -252,25 +249,15 @@ def entropy_closed_form(spec: GegenbauerSpec,
 def normalize_entropy(spec: GegenbauerSpec, e: ExactEntropy) -> ExactEntropy:
     """Entropy of the orthonormalized polynomial, from the raw entropy.
 
-    E(normalized) = log(lam (2lam)_n / ((n+lam) n!)) + kappa * (E(C_n) / pi)
-    with the exact rational
-
-        kappa = (lam-1)! (n+lam) n! 4^lam lam! / ((2lam)! (2lam)_n),
-
-    obtained by substituting Gamma(lam + 1/2) = sqrt(pi) (2lam)!/(4^lam lam!)
-    into the conversion factor; the pi of the raw entropy cancels exactly,
-    so the result is pi-free.
+    sqrt(s2) C_n has unit norm for the probability weight
+    (k_pi/pi) sin(t)^(2 lam) dt of orthonormal_scales, so
+    E(normalized) = -log(s2) + s2 k_pi (E(C_n) / pi), and the pi cancels.
     """
     _require_integer_parameter(spec)
-    lam, n = spec.lam, spec.n
     if not e.plain_part.is_zero():
         raise ValueError("expected an unnormalized entropy (pure pi-multiple)")
-    poch2 = pochhammer(2 * lam, n)
-    kappa = (Fraction(math.factorial(lam - 1) * (n + lam) * math.factorial(n)
-                      * 4 ** lam * math.factorial(lam))
-             / (math.factorial(2 * lam) * poch2))
-    ratio = Fraction(lam) * poch2 / ((n + lam) * math.factorial(n))
-    plain = log_linear_from(1, ratio) + e.pi_part * kappa
+    s2, k_pi = orthonormal_scales(spec)
+    plain = log_linear_from(-1, s2) + e.pi_part * (s2 * k_pi)
     return ExactEntropy(pi_part=ZERO, plain_part=plain)
 
 

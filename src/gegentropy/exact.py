@@ -19,6 +19,7 @@ decimal digits and must be at least 50.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Mapping, Union
@@ -84,6 +85,8 @@ class LogLinear:
     log_terms: Mapping[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
+        for p in self.log_terms:
+            require_int("log-term key", p, 2)
         cleaned = {
             p: Fraction(e)
             for p, e in sorted(self.log_terms.items())
@@ -196,23 +199,32 @@ def entropy_to_json_dict(e: ExactEntropy, precision: int = DEFAULT_PRECISION) ->
 
 
 def _rational(text) -> Fraction:
-    """A rational sent as a "p/q" string; ValueError for anything else."""
+    """A "p/q" or "p" string as str(Fraction) writes it; ValueError for
+    anything else, decimal and exponent notation included."""
     try:
-        if isinstance(text, str):
+        if isinstance(text, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
             return Fraction(text)
     except ZeroDivisionError:
         pass
     raise ValueError(f"expected a 'p/q' string with q != 0, got {text!r}")
 
 
+def _field(d, key: str, kind: type = object):
+    """d[key]; ValueError unless d is a dict holding a `kind` under key."""
+    if isinstance(d, dict) and key in d and isinstance(d[key], kind):
+        return d[key]
+    raise ValueError(f"expected an object with a {kind.__name__} {key!r}")
+
+
 def _log_linear(d: dict, part: str) -> LogLinear:
-    terms = d[part + "_log"]
+    terms = _field(d, part + "_log", list)
+    logs = {}
     for t in terms:
-        require_int("prime", t["prime"], 2)
-    logs = {t["prime"]: _rational(t["coeff"]) for t in terms}
+        require_int("prime", _field(t, "prime"), 2)
+        logs[t["prime"]] = _rational(_field(t, "coeff"))
     if len(logs) < len(terms):
         raise ValueError(f"a prime is listed twice in {part}_log")
-    return LogLinear(_rational(d[part + "_const"]), logs)
+    return LogLinear(_rational(_field(d, part + "_const")), logs)
 
 
 def entropy_from_json_dict(d: dict) -> ExactEntropy:

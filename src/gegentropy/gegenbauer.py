@@ -2,8 +2,8 @@
 
 Provides exact coefficients for the two trigonometric representations used by
 the entropy engine, a high-precision evaluator theta -> C_n(cos theta) for
-each, point evaluation (exact rational or high-precision float), and zero
-finding on (-1, 1).
+each, the exact orthonormal norm, point evaluation (exact rational or
+high-precision float), and zero finding on (-1, 1).
 
 Representations, with x = cos(theta):
 
@@ -93,6 +93,20 @@ def szego_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, List[Fraction]]:
         for v in range(lam)
     ]
     return c, alphas
+
+
+def orthonormal_scales(spec: GegenbauerSpec) -> Tuple[Fraction, Fraction]:
+    """Exact (s2, k_pi), k_pi the rational (lam!)^2 4^lam / (2 lam)!.
+
+    The probability weight on (0, pi) is (k_pi/pi) sin(t)^(2 lam) dt, and
+    sqrt(s2) C_n has unit norm for it: s2 = (n+lam) n! / (lam (2 lam)_n), or
+    in the Chebyshev-T limit lam = 0, where k_pi = 1, s2 = 2 (1 at n = 0).
+    """
+    lam, n = spec.lam, spec.n
+    k_pi = Fraction(math.factorial(lam) ** 2 * 4 ** lam, math.factorial(2 * lam))
+    if lam == 0:
+        return Fraction(2 if n else 1), k_pi
+    return Fraction((n + lam) * math.factorial(n)) / (lam * pochhammer(2 * lam, n)), k_pi
 
 
 #: Fraction bits the fixed-point series carry beyond the working precision.

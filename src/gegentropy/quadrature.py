@@ -1,7 +1,7 @@
 """Independent numerical oracle for the entropy integrals.
 
 Everything here integrates in theta-space (x = cos theta), where the
-integrands are built from the standard trigonometric representation: its
+integrands are built from the folded cosine series of gegenbauer: its
 coefficients are uniformly bounded on the circle, unlike the x-space weight
 (1-x^2)^(lam-1/2), which is singularity-prone at the endpoints.
 
@@ -13,18 +13,16 @@ log t (bare log moments).  [0, pi/2] is split at those angles (pi/2 is one
 for odd n) and each panel is handled by a tanh-sinh rule, which absorbs
 endpoint singularities of exactly this kind; a panel whose error estimate
 exceeds its share of the budget is bisected recursively.  The zero angles
-come from Newton steps on the standard representation.  Each node of a
-weighted integrand costs one mpf_cos_sin and one mpf_log: the folded cosine
-series is a Clenshaw sum in Python integers with 10 guard bits (see
-gegenbauer), and C^2, the weight sin(t)^(2 lam) and their product are
-integer operations too, rounded to an mpf once.
+come from Newton steps on the cosine series.  Each node of every integrand
+costs one mpf_cos_sin and one mpf_log: C_n and cos(2mt) are Clenshaw sums in
+Python integers with 10 guard bits (see gegenbauer), and C^2, sin(t)^(2 lam)
+and their products are integer operations, rounded to an mpf once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Tuple
 
 import mpmath as mp
@@ -32,7 +30,7 @@ from mpmath import libmp
 
 from .exact import MIN_PRECISION, require_int, to_mpf
 from .gegenbauer import (GegenbauerSpec, _cos_sin_fixed, _folded_series,
-                         _folded_weights, pochhammer, standard_representation,
+                         _folded_weights, _from_fixed, orthonormal_scales,
                          zero_angles)
 
 
@@ -101,20 +99,28 @@ def _integrate(f, knots: List[mp.mpf], cfg: QuadratureConfig) -> mp.mpf:
     return total
 
 
+def _times_log(man: int, exp: int, g: int, g_exp: int) -> Tuple[int, int]:
+    """man 2^exp log(g 2^g_exp), g > 0, as (mantissa, exponent) after one mpf_log."""
+    sign, log_man, log_exp, _ = libmp.mpf_log(libmp.from_man_exp(g, g_exp), mp.mp.prec)
+    return (-man if sign else man) * log_man, exp + log_exp
+
+
 def _weighted_integral(spec: GegenbauerSpec, cfg: QuadratureConfig,
-                       scale=1, weight=1, log: bool = False) -> mp.mpf:
+                       orthonormal: bool = False, log: bool = False) -> mp.mpf:
     """int_0^pi weight g [log g] sin(t)^(2 lam) dt, g = scale C_n(cos t)^2.
 
-    Twice the half range; the log factor is taken when `log` is set, and a
-    node where g = 0 adds its limit value 0.  Per node g and its weighted
-    product are exact integers over powers of two, built from the
-    fixed-point cos_sin and Clenshaw sum; then one mpf_log and one rounding
-    to an mpf.  The caller holds cfg's working precision.
+    (scale, weight) is (1, 1), or (s2, k_pi/pi) of orthonormal_scales when
+    `orthonormal` is set; a node where g = 0 adds its limit value 0.  The
+    caller holds cfg's working precision.
     """
+    scale = weight = mp.mpf(1)
+    if orthonormal:
+        s2, k_pi = orthonormal_scales(spec)
+        scale, weight = to_mpf(s2), to_mpf(k_pi) / mp.pi
     poly = _folded_series(spec.n, _folded_weights(spec))
     two_lam = 2 * spec.lam
-    scale_man, scale_exp = mp.mpf(scale).man_exp  # both constants are > 0
-    weight_man, weight_exp = mp.mpf(weight).man_exp
+    scale_man, scale_exp = scale.man_exp  # both constants are > 0
+    weight_man, weight_exp = weight.man_exp
 
     def f(theta):
         c, s, bits = _cos_sin_fixed(theta)
@@ -126,11 +132,8 @@ def _weighted_integral(spec: GegenbauerSpec, cfg: QuadratureConfig,
         man = weight_man * g * s ** two_lam
         exp = weight_exp + g_exp - two_lam * bits
         if log:
-            sign, log_man, log_exp, _ = libmp.mpf_log(
-                libmp.from_man_exp(g, g_exp), mp.mp.prec)
-            man, exp = (-man if sign else man) * log_man, exp + log_exp
-        return mp.make_mpf(libmp.from_man_exp(man, exp, mp.mp.prec,
-                                              libmp.round_nearest))
+            man, exp = _times_log(man, exp, g, g_exp)
+        return _from_fixed(man, -exp)
 
     return _integrate(f, _panel_knots(spec, cfg), cfg)
 
@@ -149,49 +152,36 @@ def entropy_quadrature(spec: GegenbauerSpec,
 
 def integral_I_quadrature(spec: GegenbauerSpec, m: int,
                           cfg: QuadratureConfig = QuadratureConfig()) -> mp.mpf:
-    """Direct estimate of I_m = int_0^pi cos(2m t) log(C_n(cos t))^2 dt."""
+    """Direct estimate of I_m = int_0^pi cos(2m t) log(C_n(cos t))^2 dt.
+
+    cos(2m t) is the folded cosine series of 2m with one weight.  A node where
+    the fixed-point C_n is 0 takes C_n^2 = 2^(-2 bits), one unit in its last place.
+    """
     require_int("m", m, 0)
     if m > spec.n + spec.lam:
         raise ValueError(f"moment index {m} outside 0..{spec.n + spec.lam}")
     with mp.workdps(cfg.working_precision):
-        poly = standard_representation(spec)
-        # Floor keeps an exact-zero hit finite; the value matches the scale
-        # of legitimate evaluations exponentially close to a zero angle.
-        floor = mp.mpf(10) ** (-40 * cfg.working_precision)
+        poly = _folded_series(spec.n, _folded_weights(spec))
+        wave = _folded_series(2 * m, [mp.mpf(0)] * m + [mp.mpf(1)])
 
         def f(theta):
-            csq = poly(theta) ** 2
-            return mp.cos(2 * m * theta) * mp.log(csq if csq > floor else floor)
+            c, s, bits = _cos_sin_fixed(theta)
+            p = poly(c, s, bits)
+            man, exp = _times_log(wave(c, s, bits), -bits, p * p or 1, -2 * bits)
+            return _from_fixed(man, -exp)
 
         return _integrate(f, _panel_knots(spec, cfg), cfg)
-
-
-def _orthonormal_scales(spec: GegenbauerSpec) -> Tuple[mp.mpf, mp.mpf]:
-    """(s2, K/pi) at the current precision.
-
-    The orthonormalized polynomial is sqrt(s2) * C_n and the probability
-    weight in theta-space is (K/pi) * sin(theta)^(2 lam) d theta, with the
-    rational K*pi = (lam!)^2 4^lam / (2 lam)!.  For the Chebyshev-T limit, s2
-    degenerates to 2 (n >= 1) or 1 (n = 0) and the weight to 1/pi.
-    """
-    lam, n = spec.lam, spec.n
-    if lam == 0:
-        s2, k_pi = Fraction(2 if n else 1), Fraction(1)
-    else:
-        s2 = Fraction((n + lam) * math.factorial(n)) / (lam * pochhammer(2 * lam, n))
-        k_pi = Fraction(math.factorial(lam) ** 2 * 4 ** lam, math.factorial(2 * lam))
-    return to_mpf(s2), to_mpf(k_pi) / mp.pi
 
 
 def normalized_entropy_quadrature(spec: GegenbauerSpec,
                                   cfg: QuadratureConfig = QuadratureConfig()) -> mp.mpf:
     """Direct estimate of the orthonormalized entropy within cfg.target_abs_tol."""
     with mp.workdps(cfg.working_precision):
-        return -_weighted_integral(spec, cfg, *_orthonormal_scales(spec), log=True)
+        return -_weighted_integral(spec, cfg, orthonormal=True, log=True)
 
 
 def orthonormality_quadrature(spec: GegenbauerSpec,
                               cfg: QuadratureConfig = QuadratureConfig()) -> mp.mpf:
     """int of (orthonormalized C_n)^2 against its weight; exactly 1 when sound."""
     with mp.workdps(cfg.working_precision):
-        return _weighted_integral(spec, cfg, *_orthonormal_scales(spec))
+        return _weighted_integral(spec, cfg, orthonormal=True)

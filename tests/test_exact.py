@@ -110,6 +110,13 @@ class TestLogLinearValue:
         with pytest.raises(ValueError):
             LogLinear(F(0), {1: F(1)})
 
+    @pytest.mark.parametrize("key", [2.0, True, "2", F(2)])
+    def test_non_int_keys_rejected(self, key):
+        # A float key would be written as "prime": 2.0, which the JSON
+        # reader rejects, so the value could not round-trip.
+        with pytest.raises(ValueError):
+            LogLinear(F(0), {key: F(1)})
+
     def test_scalar_and_sum(self):
         v = log_linear_from(1, 6) * F(1, 2) - log_linear_from(F(1, 2), 2)
         assert v.log_terms == {3: F(1, 2)}
@@ -185,3 +192,58 @@ class TestExactEntropyJson:
             d[field] = "1/0"
         with pytest.raises(ValueError):
             entropy_from_json_dict(d)
+
+    @staticmethod
+    def record():
+        return entropy_to_json_dict(ExactEntropy(
+            pi_part=log_linear_from(F(-7, 2), 2) + LogLinear(F(119, 240)),
+            plain_part=log_linear_from(1, 3)))
+
+    @pytest.mark.parametrize("record", [None, [], "pi_log", 1.5])
+    def test_rejects_non_object_record(self, record):
+        with pytest.raises(ValueError):
+            entropy_from_json_dict(record)
+
+    @pytest.mark.parametrize("key", ["pi_log", "pi_const", "plain_log", "plain_const"])
+    def test_rejects_missing_key(self, key):
+        d = self.record()
+        del d[key]
+        with pytest.raises(ValueError):
+            entropy_from_json_dict(d)
+
+    @pytest.mark.parametrize("terms", ["2", {"prime": 2, "coeff": "1"}, None, 3])
+    def test_rejects_log_list_of_other_type(self, terms):
+        d = self.record()
+        d["plain_log"] = terms
+        with pytest.raises(ValueError):
+            entropy_from_json_dict(d)
+
+    @pytest.mark.parametrize("term", [2, "2", ["2", "1"], None,
+                                      {"prime": 2}, {"coeff": "1"}])
+    def test_rejects_malformed_term(self, term):
+        d = self.record()
+        d["pi_log"] = [term]
+        with pytest.raises(ValueError):
+            entropy_from_json_dict(d)
+
+    @pytest.mark.parametrize("text", ["0.5", "1e5", "1E5", "-2.5e-3", "1/2.0",
+                                      "inf", "nan", " 1/2", "1/2 ", "+1/2",
+                                      "1 /2", "1/-2", "", "1_000", "١"])
+    def test_rejects_non_fraction_notation(self, text):
+        for field in ("pi_const", "coeff"):
+            d = self.record()
+            if field == "coeff":
+                d["pi_log"][0]["coeff"] = text
+            else:
+                d[field] = text
+            with pytest.raises(ValueError):
+                entropy_from_json_dict(d)
+
+    def test_accepts_every_str_of_fraction(self):
+        values = [F(0), F(1), F(-1), F(7, 2), F(-119, 240), F(10 ** 40 + 1, 3 ** 50)]
+        for q in values:
+            d = self.record()
+            d["pi_const"] = str(q)
+            d["pi_log"][0]["coeff"] = str(-q) if q else "1"
+            e = entropy_from_json_dict(d)
+            assert e.pi_part.constant == q

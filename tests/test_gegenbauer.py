@@ -121,6 +121,30 @@ class TestSzegoCoeffs:
             szego_coeffs(GegenbauerSpec(0, 3))
 
 
+class TestOrthonormalScales:
+    def test_unit_norm_by_theorem(self):
+        # int_0^pi C_n^2 sin^(2 lam) dt = pi 2 (n+2lam-1)! / (4^lam n! (n+lam)
+        # ((lam-1)!)^2), and int_0^pi cos^2(n t) dt = pi/2 (n >= 1) or pi,
+        # so s2 times k_pi/pi times the norm integral is exactly 1.
+        for lam in range(13):
+            for n in range(41):
+                s2, k_pi = gegenbauer.orthonormal_scales(GegenbauerSpec(lam, n))
+                if lam == 0:
+                    assert s2 * k_pi == (2 if n else 1)
+                    continue
+                norm = F(2 * math.factorial(n + 2 * lam - 1),
+                         4 ** lam * math.factorial(n) * (n + lam)
+                         * math.factorial(lam - 1) ** 2)
+                assert s2 * k_pi * norm == 1
+
+    def test_weight_is_a_probability(self):
+        # int_0^pi sin^(2 lam) t dt = pi (2 lam)! / (4^lam (lam!)^2).
+        for lam in range(13):
+            _, k_pi = gegenbauer.orthonormal_scales(GegenbauerSpec(lam, 3))
+            assert k_pi * F(math.factorial(2 * lam),
+                            4 ** lam * math.factorial(lam) ** 2) == 1
+
+
 class TestEvaluation:
     @given(st.integers(min_value=1, max_value=8),
            st.fractions(min_value=F(-2), max_value=F(2), max_denominator=30))

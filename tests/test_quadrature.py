@@ -110,6 +110,34 @@ class TestIntegralMoments:
                     want = ExactEntropy(pi_part=table.values[m]).evaluate(50)
                     assert abs(got - want) < TOL
 
+    def test_series_log_to_working_precision(self):
+        # Far below the 1e-10 budget, as for the entropy oracle.
+        for lam in range(1, 5):
+            for n in range(0, 9, 2):
+                spec = GegenbauerSpec(lam, n)
+                table = integrals_series_log(spec)
+                for m in range(0, n + lam + 1, 2):
+                    got = integral_I_quadrature(spec, m, CFG)
+                    want = ExactEntropy(pi_part=table.values[m]).evaluate(50)
+                    with mp.workdps(50):
+                        assert abs(got - want) < mp.mpf("1e-40")
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_zero_node_takes_last_place(self, monkeypatch, m):
+        # T_1(cos t) = cos t is 0 in fixed point at pi/2 rounded from 200
+        # digits; there C^2 counts as one unit in the last place of the
+        # square, 2^(-2 bits), and cos(2m t) = (-1)^m.
+        integrands = []
+        monkeypatch.setattr(quadrature, "_integrate",
+                            lambda f, knots, cfg: integrands.append(f) or mp.mpf(0))
+        integral_I_quadrature(GegenbauerSpec(0, 1), m)
+        with mp.workdps(200):
+            t = +(mp.pi / 2)
+        with mp.workdps(50):
+            bits = mp.mp.prec + 10
+            want = (-1) ** m * -2 * bits * mp.log(2)
+            assert abs(integrands[0](t) - want) < mp.mpf("1e-45")
+
     def test_rejects_out_of_range_m(self):
         for m in (1.5, True, "1", -1, 4):
             with pytest.raises(ValueError):
@@ -199,6 +227,14 @@ class TestPinnedOutput:
         values = [oracle(GegenbauerSpec(lam, n), cfg)
                   for lam in range(lam_max + 1) for n in range(n_max + 1)]
         assert hashlib.sha256(repr(values).encode()).hexdigest() == digest
+
+    def test_moment_repr_digest(self):
+        cfg = QuadratureConfig(target_abs_tol=1e-9, working_precision=50)
+        values = [integral_I_quadrature(GegenbauerSpec(lam, n), m, cfg)
+                  for lam in range(1, 4) for n in range(5)
+                  for m in range(n + lam + 1)]
+        assert (hashlib.sha256(repr(values).encode()).hexdigest()
+                == "cae4f558320f6a858526fa4a77fe378a7ab378fb72b44d3b08c877e9a1ce2a70")
 
 
 class TestConfig:
