@@ -395,12 +395,13 @@ class TestZeroAngles:
                     assert abs(got[n // 2] - mp.pi / 2) < ZERO_TOL
 
     def test_pinned_repr_digest(self):
-        # sha256 of the repr of every angle for lam 0..5, n 0..9: any change
-        # to the evaluation arithmetic that moves a single digit shows here.
+        # sha256 of the _mpf_ tuple of every angle for lam 0..5, n 0..9: any
+        # change to the evaluation arithmetic that moves a single bit shows here.
         angles = [zero_angles(GegenbauerSpec(lam, n), 50)
                   for lam in range(6) for n in range(10)]
-        assert (hashlib.sha256(repr(angles).encode()).hexdigest()
-                == "3957a072c6e0d2f7f8ed2e08204e339aa31a7f6416f14b3823de4eb81929c6cd")
+        tuples = [[t._mpf_ for t in row] for row in angles]
+        assert (hashlib.sha256(repr(tuples).encode()).hexdigest()
+                == "224374dcaf2cdf4aa731dc5fb8b164580251a3a6fd732eff53fc68575e16cc3a")
 
     def test_bisection_fallback(self, monkeypatch):
         specs = [GegenbauerSpec(0, 4), GegenbauerSpec(3, 5), GegenbauerSpec(6, 20)]

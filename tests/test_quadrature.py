@@ -212,29 +212,31 @@ class TestOrthonormality:
 
 
 class TestPinnedOutput:
-    # sha256 of the repr of each oracle's values over a grid: any change to
-    # the integrand arithmetic that moves a single digit shows here.
+    # sha256 of the _mpf_ tuples of each oracle's values over a grid: any
+    # change to the integrand arithmetic that moves a single bit shows here.
     @pytest.mark.parametrize("oracle,lam_max,n_max,digest", [
         (entropy_quadrature, 5, 9,
-         "7140c6a8deeee6eeb547c8b3f51bb3d6a8acfc8e2d30a9f0be4855deed583a15"),
+         "bc7807addb7c6cda4e5bfdb95aa90e2d4a03bab1d0edc75cea56d75ce4b330a0"),
         (normalized_entropy_quadrature, 3, 5,
-         "a43f212d686a6bc70f0c4f712521061959b79d8b37c193a1a5c1be7f1b31b63d"),
+         "00c571a436dd79d6235c42bec4e65bff300bc0d05f7dc22b9f8ae532de7cf003"),
         (orthonormality_quadrature, 3, 5,
-         "885d167609a4f2f300a60ae409daf9b70c8e9306b8abbde7e0af06ccd8f059ba"),
+         "4f3bfc322f54bda43213c039a5cc0173bda29194c842b6f49003813cb13544ff"),
     ], ids=["entropy", "normalized", "orthonormality"])
     def test_repr_digest(self, oracle, lam_max, n_max, digest):
         cfg = QuadratureConfig(target_abs_tol=1e-9, working_precision=50)
         values = [oracle(GegenbauerSpec(lam, n), cfg)
                   for lam in range(lam_max + 1) for n in range(n_max + 1)]
-        assert hashlib.sha256(repr(values).encode()).hexdigest() == digest
+        tuples = [v._mpf_ for v in values]
+        assert hashlib.sha256(repr(tuples).encode()).hexdigest() == digest
 
     def test_moment_repr_digest(self):
         cfg = QuadratureConfig(target_abs_tol=1e-9, working_precision=50)
         values = [integral_I_quadrature(GegenbauerSpec(lam, n), m, cfg)
                   for lam in range(1, 4) for n in range(5)
                   for m in range(n + lam + 1)]
-        assert (hashlib.sha256(repr(values).encode()).hexdigest()
-                == "cae4f558320f6a858526fa4a77fe378a7ab378fb72b44d3b08c877e9a1ce2a70")
+        tuples = [v._mpf_ for v in values]
+        assert (hashlib.sha256(repr(tuples).encode()).hexdigest()
+                == "47c8f91a08cefd484eb3ef8b896c5f5fcf764b8528df7b24f88f0d493f183bc7")
 
 
 class TestConfig:
