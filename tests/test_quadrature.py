@@ -10,10 +10,23 @@ from gegentropy import (ExactEntropy, GegenbauerSpec, QuadratureConfig,
                         ToleranceNotMet, entropy_exact, entropy_quadrature,
                         integral_I_quadrature, integrals_series_log,
                         normalize_entropy, normalized_entropy_quadrature,
-                        orthonormality_quadrature, quadrature)
+                        orthonormality_quadrature, quadrature, zero_angles)
 
 CFG = QuadratureConfig()
 TOL = mp.mpf("1e-9")  # an order above the default target
+
+
+def fixed_cos_zero():
+    """(bits, t): bits the oracle's at 50 digits, t the first fixed-point
+    angle from pi/2 (truncated) up whose fixed-point cosine is 0."""
+    with mp.workdps(50):
+        bits = mp.mp.prec + 10
+    with mp.workdps(200):
+        t = int(mp.ldexp(mp.pi / 2, bits))
+    while quadrature.cos_sin_basecase(t, bits)[0] > 0:
+        t += 1
+    assert quadrature.cos_sin_basecase(t, bits)[0] == 0
+    return bits, t
 
 
 class TestEntropyQuadrature:
@@ -65,21 +78,19 @@ class TestEntropyQuadrature:
         with pytest.raises(ToleranceNotMet) as info:
             entropy_quadrature(spec, cfg)
         want = entropy_exact(spec).evaluate(50)
-        # The attached best estimate is the raw panel sum (sign not applied).
-        assert abs(abs(info.value.estimate) - abs(want)) < 1e-8
+        # The attached best estimate is the value the oracle would return.
+        assert abs(info.value.estimate - want) < 1e-8
 
 
     def test_zero_node_adds_zero(self, monkeypatch):
-        # T_1(cos t) = cos t is 0 in fixed point at pi/2 rounded from 200
-        # digits, where the integrand's limit value is 0.
+        # T_1(cos t) = cos t is 0 in fixed point at an angle next to pi/2,
+        # where the integrand's limit value is 0.
         integrands = []
         monkeypatch.setattr(quadrature, "_integrate",
                             lambda f, knots, cfg: integrands.append(f) or mp.mpf(0))
         entropy_quadrature(GegenbauerSpec(0, 1))
-        with mp.workdps(200):
-            t = +(mp.pi / 2)
-        with mp.workdps(50):
-            assert integrands[0](t) == 0
+        bits, t = fixed_cos_zero()
+        assert integrands[0](t, bits) == 0
 
 
 class TestIntegralMoments:
@@ -124,19 +135,18 @@ class TestIntegralMoments:
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_zero_node_takes_last_place(self, monkeypatch, m):
-        # T_1(cos t) = cos t is 0 in fixed point at pi/2 rounded from 200
-        # digits; there C^2 counts as one unit in the last place of the
+        # T_1(cos t) = cos t is 0 in fixed point at an angle next to pi/2;
+        # there C^2 counts as one unit in the last place of the
         # square, 2^(-2 bits), and cos(2m t) = (-1)^m.
         integrands = []
         monkeypatch.setattr(quadrature, "_integrate",
                             lambda f, knots, cfg: integrands.append(f) or mp.mpf(0))
         integral_I_quadrature(GegenbauerSpec(0, 1), m)
-        with mp.workdps(200):
-            t = +(mp.pi / 2)
+        bits, t = fixed_cos_zero()
         with mp.workdps(50):
-            bits = mp.mp.prec + 10
             want = (-1) ** m * -2 * bits * mp.log(2)
-            assert abs(integrands[0](t) - want) < mp.mpf("1e-45")
+            got = mp.ldexp(integrands[0](t, bits), -bits)
+            assert abs(got - want) < mp.mpf("1e-45")
 
     def test_rejects_out_of_range_m(self):
         for m in (1.5, True, "1", -1, 4):
@@ -180,16 +190,16 @@ class TestAdaptivePanel:
     def integrate(monkeypatch, budget):
         # |t - 1/3| has a kink at 1/3, which only bisection can isolate.
         calls = []
-        real = mp.quad
+        real = quadrature._tanh_sinh
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
+        def counting(f, a, b):
+            calls.append((a, b))
+            return real(f, a, b)
 
-        monkeypatch.setattr(mp, "quad", counting)
+        monkeypatch.setattr(quadrature, "_tanh_sinh", counting)
         with mp.workdps(50):
             value, err = quadrature._adaptive_panel(
-                lambda t: abs(t - mp.mpf(1) / 3), mp.mpf(0), mp.mpf(1),
+                lambda t, bits: abs(t - (1 << bits) // 3), mp.mpf(0), mp.mpf(1),
                 mp.mpf(budget), quadrature._MAX_DEPTH)
             return value - mp.mpf(5) / 18, err, len(calls)
 
@@ -202,6 +212,39 @@ class TestAdaptivePanel:
         miss, err, calls = self.integrate(monkeypatch, "1e-20")
         assert calls == 1 + 2 * quadrature._MAX_DEPTH
         assert err > 1e-20 and abs(miss) < 1e-11
+
+
+class TestFixedPointRule:
+    @pytest.mark.parametrize("dps", [50, 200])
+    def test_cos_sin_matches_mpmath(self, dps):
+        # mpmath does not export cos_sin_basecase, so its contract is checked
+        # here: fixed-point cos and sin on [0, pi/2], 0 and pi/2 included,
+        # within a few units of 2^-bits, also within 2^-190 of a zero angle.
+        with mp.workdps(dps):
+            bits = mp.mp.prec + 20 + quadrature._GUARD_BITS
+            knot = zero_angles(GegenbauerSpec(3, 7), dps)[0]
+            angles = [mp.pi * k / 64 for k in range(33)] + [knot]
+        with mp.workdps(300):
+            thetas = [int(mp.ldexp(t, bits)) for t in angles]
+            near = 1 << (bits - 190)
+            thetas += [thetas[-1] - near, thetas[-1] + near]
+            for theta in thetas:
+                c, s = quadrature.cos_sin_basecase(theta, bits)
+                t = mp.ldexp(theta, -bits)
+                assert abs(c - mp.ldexp(mp.cos(t), bits)) < 16
+                assert abs(s - mp.ldexp(mp.sin(t), bits)) < 16
+
+    def test_panel_rule_integrates_log_singularity(self):
+        # int_0^1 t^2 log t dt = -1/9, the log singular at the end 0.
+        def f(theta, bits):
+            with mp.workprec(bits):
+                t = mp.ldexp(theta, -bits)
+                return int(mp.ldexp(t * t * mp.log(t), bits))
+
+        with mp.workdps(50):
+            value, err = quadrature._tanh_sinh(f, mp.mpf(0), mp.mpf(1))
+            assert abs(value + mp.mpf(1) / 9) < mp.mpf("1e-45")
+            assert err < mp.mpf("1e-45")
 
 
 class TestOrthonormality:
@@ -236,7 +279,7 @@ class TestPinnedOutput:
                   for m in range(n + lam + 1)]
         tuples = [v._mpf_ for v in values]
         assert (hashlib.sha256(repr(tuples).encode()).hexdigest()
-                == "47c8f91a08cefd484eb3ef8b896c5f5fcf764b8528df7b24f88f0d493f183bc7")
+                == "3972fa4b4f3b1de71b56cf939f960700e855a7db91060a41e0128f129b5f21f7")
 
 
 class TestConfig:
