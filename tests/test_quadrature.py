@@ -17,10 +17,10 @@ TOL = mp.mpf("1e-9")  # an order above the default target
 
 
 def fixed_cos_zero():
-    """(bits, t): bits the oracle's at 50 digits, t the first fixed-point
+    """(bits, t): bits the panel rule's at 50 digits, t the first fixed-point
     angle from pi/2 (truncated) up whose fixed-point cosine is 0."""
     with mp.workdps(50):
-        bits = mp.mp.prec + 10
+        bits = mp.mp.prec + 20 + quadrature._GUARD_BITS
     with mp.workdps(200):
         t = int(mp.ldexp(mp.pi / 2, bits))
     while quadrature.cos_sin_basecase(t, bits)[0] > 0:
