@@ -101,7 +101,7 @@ def _tanh_sinh(f, a, b) -> Tuple[mp.mpf, mp.mpf]:
         bits = mp.mp.prec + _GUARD_BITS
         lo, hi = libmp.to_fixed(a._mpf_, bits), libmp.to_fixed(b._mpf_, bits)
         width, mid = hi - lo, hi + lo  # 2C and 2D
-        total = 0  # sum of w_k f(theta_k), with 2 bits fraction bits
+        total = 0  # sum of w_k f(theta_k), with 2 * bits fraction bits
         results = []
         for degree in range(1, _RULE.guess_degree(prec) + 1):
             total += sum(w * f((mid + (width * x >> bits)) >> 1, bits)
