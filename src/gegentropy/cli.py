@@ -242,8 +242,8 @@ def cmd_integrals(args) -> int:
 def cmd_verify(args) -> int:
     if args.lambda_max < 1 or args.n_max < 1:
         raise UsageError("--lambda-max and --n-max must be >= 1")
-    if not 0 < args.tol < math.inf:
-        raise UsageError(f"--tol must be finite and > 0, got {args.tol}")
+    if not 0 < args.tol / 10 < math.inf:
+        raise UsageError(f"--tol must be finite with tol/10 > 0, got {args.tol}")
     precision = args.precision if args.precision is not None else MIN_PRECISION
     if precision < MIN_PRECISION:
         raise UsageError(f"precision must be >= {MIN_PRECISION}")

@@ -49,8 +49,8 @@ from typing import Dict, List, Tuple, Union
 
 import mpmath as mp
 
-from .exact import (DEFAULT_PRECISION, ExactEntropy, LogLinear, ZERO,
-                    log_linear_from, to_mpf)
+from .exact import (DEFAULT_PRECISION, MIN_PRECISION, ExactEntropy, LogLinear,
+                    ZERO, log_linear_from, require_int, to_mpf)
 from .gegenbauer import (GegenbauerSpec, orthonormal_scales, pochhammer,
                          standard_coeffs, szego_coeffs)
 
@@ -219,6 +219,7 @@ def entropy_closed_form(spec: GegenbauerSpec,
     f^(n+1) is evaluated in floating point, keeping this check independent of
     the rational route.
     """
+    require_int("precision", precision, MIN_PRECISION)
     lam, n = spec.lam, spec.n
     if lam == 1:
         return ExactEntropy(

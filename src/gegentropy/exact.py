@@ -41,6 +41,12 @@ def require_int(name: str, value, floor: int) -> None:
         raise ValueError(f"{name} must be an int >= {floor}, got {value!r}")
 
 
+def require_rational(name: str, value) -> None:
+    """Raise ValueError unless value is an int (bool is not) or a Fraction."""
+    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int or Fraction, got {value!r}")
+
+
 def to_mpf(q: RationalLike) -> mp.mpf:
     """Convert an exact rational to mpf at the *current* mpmath precision."""
     if isinstance(q, Fraction):
@@ -85,8 +91,10 @@ class LogLinear:
     log_terms: Mapping[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        for p in self.log_terms:
+        require_rational("constant", self.constant)
+        for p, e in self.log_terms.items():
             require_int("log-term key", p, 2)
+            require_rational("log-term coefficient", e)
         cleaned = {
             p: Fraction(e)
             for p, e in sorted(self.log_terms.items())
@@ -138,8 +146,9 @@ def log_linear_from(coeff: RationalLike, arg: RationalLike) -> LogLinear:
     The prime map sends p to coeff * (multiplicity of p in arg's numerator
     minus multiplicity in its denominator); the constant is zero.
     """
-    coeff = Fraction(coeff)
-    arg = Fraction(arg)
+    require_rational("log coefficient", coeff)
+    require_rational("log argument", arg)
+    coeff, arg = Fraction(coeff), Fraction(arg)
     if arg <= 0:
         raise ValueError(f"log argument must be positive, got {arg}")
     terms: Dict[int, Fraction] = {}
@@ -160,6 +169,10 @@ class ExactEntropy:
 
     pi_part: LogLinear = ZERO
     plain_part: LogLinear = ZERO
+
+    def __post_init__(self):
+        if not all(isinstance(p, LogLinear) for p in (self.pi_part, self.plain_part)):
+            raise ValueError(f"ExactEntropy parts must be LogLinear, got {self!r}")
 
     def is_zero(self) -> bool:
         return self.pi_part.is_zero() and self.plain_part.is_zero()

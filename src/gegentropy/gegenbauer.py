@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 import mpmath as mp
 from mpmath import libmp
@@ -195,12 +195,6 @@ def standard_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
     return _at_angle(_folded_series(spec.n, _folded_weights(spec)))
 
 
-def _standard_slope(n: int, weights: List[mp.mpf]) -> Callable[[mp.mpf], mp.mpf]:
-    """theta -> d/dtheta of the folded cosine series: its sine series."""
-    return _at_angle(_folded_series(
-        n, [-(2 * k + n % 2) * w for k, w in enumerate(weights)], sine=True))
-
-
 def szego_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
     """theta -> C_n(cos theta) from the szego sine series, lam >= 1.
 
@@ -250,69 +244,24 @@ def gegenbauer_value(spec: GegenbauerSpec, x: Numeric) -> Numeric:
     return cur
 
 
-#: Newton steps allowed per zero before the bracket is bisected instead.
-_NEWTON_STEPS = 30
-
-
-def _newton(g, slope, a, b, fa, fb, tol) -> Optional[mp.mpf]:
-    """Newton's root of g in the sign-change bracket [a, b], or None.
-
-    Starts from the secant point.  The root is accepted only if every step
-    stays in the bracket and g changes sign across root -+ tol/2.
-    """
-    t = a + (b - a) * fa / (fa - fb)
-    for _ in range(_NEWTON_STEPS):
-        s = slope(t)
-        if s == 0:
-            return None
-        dt = g(t) / s
-        t -= dt
-        if not a <= t <= b:
-            return None
-        if abs(dt) <= tol:
-            break
-    else:
-        return None
-    if g(t - tol / 2) * g(t + tol / 2) > 0:
-        return None
-    return t
-
-
-def _bisect(g, a, b, fa, tol) -> mp.mpf:
-    """Midpoint of the sign-change bracket (a, b) halved to width tol."""
-    while b - a > tol:
-        mid = (a + b) / 2
-        fm = g(mid)
-        if fm == 0:
-            return mid
-        if fa * fm < 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return (a + b) / 2
-
-
 def zero_angles(spec: GegenbauerSpec, precision: int = DEFAULT_PRECISION) -> List[mp.mpf]:
     """Angles theta in (0, pi) with C_n(cos theta) = 0, ascending.
 
     C_n(cos(pi - t)) = (-1)^n C_n(cos t), so only (0, pi/2) is searched:
-    sign changes of the standard representation are bracketed on a uniform
-    grid of step pi/(8n+9), each bracket is polished by Newton steps (the
-    derivative is the sine series of the same coefficients) to within
-    10^(2-precision), and the bracket is bisected to that width instead when
-    Newton leaves it or misses the sign change.  pi/2 is a zero for odd n;
-    the zeros above it are the mirror images pi - t.  The trig form is
-    uniformly well conditioned on the circle, so no eigenvalue machinery is
-    needed.
+    mp.findroot's Anderson-Bjorck method runs once in each sign change of
+    the standard representation on a uniform grid of step pi/(8n+9).  The
+    series sums weights up to C_n(1) down to values near 0, so it runs with
+    as many extra digits as C_n(1) has.  Each root is rounded to precision +
+    10 digits and must show a sign change across root -+ 10^(2-precision)/2.
+    pi/2 is a zero for odd n; the zeros above it are the mirror images pi - t.
     """
     require_int("precision", precision, MIN_PRECISION)
     n = spec.n
     if n == 0:
         return []
-    with mp.workdps(precision + 10):
-        weights = _folded_weights(spec)
-        g = _at_angle(_folded_series(n, weights))
-        slope = _standard_slope(n, weights)
+    # C_n(1) = (2 lam)_n / n!, which reads 0 in the Chebyshev-T limit.
+    with mp.workdps(precision + 10 + len(str(math.comb(n + 2 * spec.lam - 1, n)))):
+        g = standard_representation(spec)
         # The points pi i / (8n+9) of the full-range grid below pi/2, which
         # miss the zeros of T_n and U_n and put pi/2 mid-cell; pi/2 itself
         # closes the grid for even n, and is the known zero for odd n.
@@ -324,21 +273,17 @@ def zero_angles(spec: GegenbauerSpec, precision: int = DEFAULT_PRECISION) -> Lis
         tol = mp.mpf(10) ** (2 - precision)
         found: List[mp.mpf] = []
         for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]):
-            if fa == 0:
-                # Grid hit a zero exactly (practically unreachable in binary).
-                if not found or a - found[-1] > tol:
-                    found.append(a)
-                continue
-            if fa * fb >= 0:
-                continue
-            root = _newton(g, slope, a, b, fa, fb, tol)
-            found.append(_bisect(g, a, b, fa, tol) if root is None else root)
+            if fa == 0 or fa * fb < 0:  # findroot returns a if g(a) is 0
+                root = mp.findroot(g, (a, b), solver="anderson",
+                                   tol=mp.mpf(10) ** -(precision + 12), verify=False)
+                with mp.workdps(precision + 10):
+                    found.append(+root)
+                if g(found[-1] - tol / 2) * g(found[-1] + tol / 2) > 0:
+                    raise RuntimeError(f"{spec} keeps its sign across {found[-1]}")
         if len(found) != n // 2:
-            raise RuntimeError(
-                f"expected {n // 2} zeros of {spec} in (0, pi/2), "
-                f"bracketed {len(found)}")
-        middle = [mp.pi / 2] if n % 2 else []
-        return found + middle + [mp.pi - t for t in reversed(found)]
+            raise RuntimeError(f"{spec}: {len(found)} of {n // 2} zeros in (0, pi/2)")
+    with mp.workdps(precision + 10):
+        return found + [mp.pi / 2] * (n % 2) + [mp.pi - t for t in reversed(found)]
 
 
 def zeros(spec: GegenbauerSpec, precision: int = DEFAULT_PRECISION) -> List[mp.mpf]:

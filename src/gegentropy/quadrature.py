@@ -13,7 +13,7 @@ log t (bare log moments).  [0, pi/2] is split at those angles (pi/2 is one
 for odd n) and each panel is handled by a tanh-sinh rule, which absorbs
 endpoint singularities of exactly this kind; a panel whose error estimate
 exceeds its share of the budget is bisected recursively.  The zero angles
-come from Newton steps on the cosine series.  The panel rule is mp.quad's
+come from mp.findroot on the cosine series.  The panel rule is mp.quad's
 tanh-sinh rule, with its nodes, degree schedule and error estimate, summed in
 fixed point: a node's angle, weight and value are Python integers with 10
 guard bits (see gegenbauer), and it costs one fixed-point cos/sin and, in the

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines;
-the oracle sweep (criterion 6) is the long pole and runs in about 13 s on a
-2-core Xeon.
+the long poles are the representation identity (criterion 7) and the oracle
+sweep (criterion 6), about 8 s each on a 2-core Xeon.
 """
 
 import csv

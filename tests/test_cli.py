@@ -280,7 +280,8 @@ class TestVerifyCommand:
         assert run(capsys, "verify", "--lambda-max", "0", "--n-max", "1")[0] == 2
         assert run(capsys, "verify", "--lambda-max", "1", "--n-max", "1",
                    "--precision", "49")[0] == 2
-        for tol in ("-1", "nan", "inf"):
+        # 1e-323 is > 0, but the oracle's tol/10 underflows to 0.
+        for tol in ("-1", "nan", "inf", "1e-323"):
             assert run(capsys, "verify", "--lambda-max", "1", "--n-max", "1",
                        "--tol", tol)[0] == 2
 
@@ -293,7 +294,8 @@ class TestParser:
         assert main(["frobnicate"]) == 2
 
     def test_module_entry_point(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         env.pop(cli.ENV_PRECISION, None)
         done = subprocess.run(
             [sys.executable, "-m", "gegentropy", "entropy", "--lambda", "4",

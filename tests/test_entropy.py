@@ -257,6 +257,13 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             entropy_closed_form(GegenbauerSpec(4, 1))
 
+    @pytest.mark.parametrize("precision", [10, 60.5, "60", True])
+    def test_rejects_bad_precision(self, precision):
+        # Checked first, so also where the closed form is exact.
+        for lam in (1, 2, 3):
+            with pytest.raises(ValueError):
+                entropy_closed_form(GegenbauerSpec(lam, 3), precision)
+
 
 def reference_normalized_lambda2(n):
     """-log(3(n+1)/(n+3)) - (n^3-5n^2-29n-27)/((n+1)(n+2)(n+3))

@@ -82,6 +82,11 @@ class TestLogLinearFrom:
     def test_canonical_equality(self):
         assert log_linear_from(-7, 2) == log_linear_from(F(-7, 2), 4)
 
+    @pytest.mark.parametrize("coeff,arg", [(1, "3"), (0.5, 2), (1, 2.0), (True, 2)])
+    def test_rejects_inexact_input(self, coeff, arg):
+        with pytest.raises(ValueError):
+            log_linear_from(coeff, arg)
+
     @given(st.fractions(min_value=F(-50), max_value=F(50), max_denominator=40),
            st.fractions(min_value=F(1, 200), max_value=F(500), max_denominator=200),
            st.fractions(min_value=F(1, 200), max_value=F(500), max_denominator=200))
@@ -116,6 +121,20 @@ class TestLogLinearValue:
         # reader rejects, so the value could not round-trip.
         with pytest.raises(ValueError):
             LogLinear(F(0), {key: F(1)})
+
+    @pytest.mark.parametrize("args", [(0.1,), (True,), ("1/2",),
+                                      (F(0), {2: 0.5}), (F(0), {3: "1/2"})])
+    def test_inexact_values_rejected(self, args):
+        # LogLinear(0.1) would store 3602879701896397/36028797018963968.
+        with pytest.raises(ValueError):
+            LogLinear(*args)
+
+    @pytest.mark.parametrize("part", [F(1), 1, None])
+    def test_entropy_parts_must_be_log_linear(self, part):
+        with pytest.raises(ValueError):
+            ExactEntropy(pi_part=part)
+        with pytest.raises(ValueError):
+            ExactEntropy(plain_part=part)
 
     def test_scalar_and_sum(self):
         v = log_linear_from(1, 6) * F(1, 2) - log_linear_from(F(1, 2), 2)

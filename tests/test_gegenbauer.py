@@ -264,7 +264,9 @@ class TestTrigRepresentations:
             angles = [mp.mpf(x) for x in offsets]
             angles += [mp.pi / 2 - mp.mpf(x) for x in offsets] + [mp.pi / 2]
             rep = standard_representation(spec)
-            slope = gegenbauer._standard_slope(n, gegenbauer._folded_weights(spec))
+            weights = gegenbauer._folded_weights(spec)
+            slope = gegenbauer._at_angle(gegenbauer._folded_series(
+                n, [-(2 * k + n % 2) * w for k, w in enumerate(weights)], sine=True))
             got = [(rep(t), slope(t)) for t in angles]
         with mp.workdps(300):
             weights = [mp.mpf(dm.numerator) / dm.denominator for dm in d]
@@ -403,29 +405,14 @@ class TestZeroAngles:
         assert (hashlib.sha256(repr(tuples).encode()).hexdigest()
                 == "224374dcaf2cdf4aa731dc5fb8b164580251a3a6fd732eff53fc68575e16cc3a")
 
-    def test_bisection_fallback(self, monkeypatch):
-        specs = [GegenbauerSpec(0, 4), GegenbauerSpec(3, 5), GegenbauerSpec(6, 20)]
-        bisections = []
-        bisect = gegenbauer._bisect
-
-        def counting_bisect(*args):
-            bisections.append(args)
-            return bisect(*args)
-
-        monkeypatch.setattr(gegenbauer, "_bisect", counting_bisect)
-        newton = [zero_angles(spec, 50) for spec in specs]
-        assert not bisections
-
-        # A slope of the wrong sign sends every Newton step out of its bracket.
-        slope = gegenbauer._standard_slope
-        monkeypatch.setattr(gegenbauer, "_standard_slope",
-                            lambda n, weights: lambda t: -slope(n, weights)(t))
-        for spec, want in zip(specs, newton):
-            bisections.clear()
-            got = zero_angles(spec, 50)
-            assert len(bisections) == spec.n // 2
-            with mp.workdps(60):
-                assert all(abs(a - b) < ZERO_TOL for a, b in zip(got, want))
+    @pytest.mark.parametrize("lam,n", [(30, 100), (40, 80)])
+    def test_accurate_at_size(self, lam, n):
+        # The series sums weights up to C_n(1), about 1e44 and 1e46 here,
+        # down to values near 0; the zeros keep 10^(2 - precision) anyway.
+        spec = GegenbauerSpec(lam, n)
+        got, want = zero_angles(spec, 50), zero_angles(spec, 110)
+        with mp.workdps(120):
+            assert max(abs(a - b) for a, b in zip(got, want)) < ZERO_TOL
 
     @pytest.mark.parametrize("precision", [10, 60.5, "60", True])
     def test_rejects_bad_precision(self, precision):

@@ -31,8 +31,10 @@ def test_library_example_matches_its_comments():
 
 
 def test_public_names_resolve():
+    text = README.read_text()
     for name in gegentropy.__all__:
         assert hasattr(gegentropy, name), name
+        assert re.search(rf"\b{name}\b", text), f"{name} is not in README.md"
     imported = re.search(r"from gegentropy import \((.*?)\)", python_block(),
                          re.DOTALL).group(1)
     for name in re.findall(r"\w+", imported):
