@@ -51,8 +51,8 @@ import mpmath as mp
 
 from .exact import (DEFAULT_PRECISION, MIN_PRECISION, ExactEntropy, LogLinear,
                     ZERO, log_linear_from, require_int, to_mpf)
-from .gegenbauer import (GegenbauerSpec, orthonormal_scales, pochhammer,
-                         standard_coeffs, szego_coeffs)
+from .gegenbauer import (GegenbauerSpec, orthonormal_scales, standard_coeffs,
+                         szego_coeffs)
 
 ROUTE_SERIES_LOG = "series-log"
 ROUTE_FAA_DI_BRUNO = "faa-di-bruno"
@@ -119,8 +119,8 @@ def _log_series(coeffs: Dict[int, Fraction], order: int) -> List[Fraction]:
 
 def _log_value(spec: GegenbauerSpec) -> LogLinear:
     """I_0 / pi = 2 log((lam)_n / n!) in canonical form."""
-    ratio = pochhammer(spec.lam, spec.n) / math.factorial(spec.n)
-    return log_linear_from(Fraction(2), ratio)
+    # (lam)_n / n! = C(n + lam - 1, n)
+    return log_linear_from(2, math.comb(spec.n + spec.lam - 1, spec.n))
 
 
 def _as_table(spec: GegenbauerSpec, rationals: List[Fraction], route: str) -> IntegralTable:

@@ -79,12 +79,27 @@ def factorize(n: int) -> Dict[int, int]:
     return factors
 
 
+class _ReadOnlyDict(dict):
+    """A dict whose mutators raise TypeError; repr and equality are dict's."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("LogLinear log terms are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild it whole instead of item by item.
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class LogLinear:
     """Canonical exact value ``constant + sum_p log_terms[p] * log(p)``.
 
     Keys of ``log_terms`` are primes; zero coefficients are dropped on
     construction, so dataclass equality is exact mathematical equality.
+    The stored map is read-only, so values such as ZERO can be shared.
     """
 
     constant: Fraction = Fraction(0)
@@ -95,11 +110,11 @@ class LogLinear:
         for p, e in self.log_terms.items():
             require_int("log-term key", p, 2)
             require_rational("log-term coefficient", e)
-        cleaned = {
-            p: Fraction(e)
+        cleaned = _ReadOnlyDict(
+            (p, Fraction(e))
             for p, e in sorted(self.log_terms.items())
             if e != 0
-        }
+        )
         for p in cleaned:
             # Equality decidability rests on the keys being prime.
             if factorize(p) != {p: 1}:

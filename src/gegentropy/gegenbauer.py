@@ -1,9 +1,10 @@
 """Gegenbauer (ultraspherical) polynomials C_n^(lam) of integer parameter.
 
 Provides exact coefficients for the two trigonometric representations used by
-the entropy engine, a high-precision evaluator theta -> C_n(cos theta) for
-each, the exact orthonormal norm, point evaluation (exact rational or
-high-precision float), and zero finding on (-1, 1).
+the entropy engine, built once per spec and shared by every caller, a
+high-precision evaluator theta -> C_n(cos theta) for each, the exact
+orthonormal norm, point evaluation (exact rational or high-precision float),
+and zero finding on (-1, 1).
 
 Representations, with x = cos(theta):
 
@@ -31,6 +32,7 @@ involve 0/0 rational arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,8 +69,13 @@ def pochhammer(a: RationalLike, k: int) -> Fraction:
     return result
 
 
-def standard_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, ...]:
-    """The cosine coefficients (d_0, ..., d_n)."""
+#: Specs whose coefficients are kept.  The routes, beta, the assembly and
+#: the oracle of one spec all read the same d_m, c and a_v.
+_COEFF_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_COEFF_CACHE_SIZE)
+def _standard_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, ...]:
     lam, n = spec.lam, spec.n
     if lam == 0:
         # Chebyshev-T limit: cos(n t) itself.
@@ -80,19 +87,32 @@ def standard_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, ...]:
                  for m in range(n + 1))
 
 
-def szego_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, List[Fraction]]:
-    """Prefactor c and sine coefficients [a_0, ..., a_{lam-1}], lam >= 1."""
+def standard_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, ...]:
+    """The cosine coefficients (d_0, ..., d_n), built once per spec."""
+    return _standard_coeffs(spec)
+
+
+@functools.lru_cache(maxsize=_COEFF_CACHE_SIZE)
+def _szego_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, Tuple[Fraction, ...]]:
     lam, n = spec.lam, spec.n
     if lam < 1:
         raise ValueError("szego representation requires parameter >= 1")
     c = (Fraction(4, 4 ** lam) * math.factorial(n + 2 * lam - 1)
          / (math.factorial(lam - 1) * math.factorial(n + lam)))
-    alphas = [
+    alphas = tuple(
         pochhammer(1 - lam, v) * pochhammer(n + 1, v)
         / (math.factorial(v) * pochhammer(n + lam + 1, v))
         for v in range(lam)
-    ]
+    )
     return c, alphas
+
+
+def szego_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, Tuple[Fraction, ...]]:
+    """Prefactor c and sine coefficients (a_0, ..., a_{lam-1}), lam >= 1.
+
+    Built once per spec, like standard_coeffs.
+    """
+    return _szego_coeffs(spec)
 
 
 def orthonormal_scales(spec: GegenbauerSpec) -> Tuple[Fraction, Fraction]:
@@ -106,7 +126,9 @@ def orthonormal_scales(spec: GegenbauerSpec) -> Tuple[Fraction, Fraction]:
     k_pi = Fraction(math.factorial(lam) ** 2 * 4 ** lam, math.factorial(2 * lam))
     if lam == 0:
         return Fraction(2 if n else 1), k_pi
-    return Fraction((n + lam) * math.factorial(n)) / (lam * pochhammer(2 * lam, n)), k_pi
+    # (2 lam)_n = (n + 2 lam - 1)! / (2 lam - 1)!
+    rising = math.perm(n + 2 * lam - 1, n)
+    return Fraction((n + lam) * math.factorial(n), lam * rising), k_pi
 
 
 #: Fraction bits the fixed-point series carry beyond the working precision.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gegentropy import (ExactEntropy, GegenbauerSpec, LogLinear,
-                        assemble_entropy, beta_vector, entropy_closed_form,
+                        assemble_entropy, beta_vector, entropy, entropy_closed_form,
                         entropy_exact, integrals_faa_di_bruno,
                         integrals_series_log, integrals_standard_rep,
                         log_linear_from, normalize_entropy,
@@ -171,6 +171,13 @@ class TestIntegralTableInvariants:
             for n in range(0, 15):
                 table = integrals_series_log(GegenbauerSpec(lam, n))
                 assert table.values[0].is_zero() == (lam == 1 or n == 0)
+
+    @pytest.mark.parametrize("n", [0, 7, 300, 1000, 5000])
+    def test_log_entry_matches_pochhammer_form(self, n):
+        # I_0 / pi = 2 log((lam)_n / n!) with (lam)_n as the rising product.
+        for lam in (1, 5, 12):
+            want = log_linear_from(2, pochhammer(lam, n) / math.factorial(n))
+            assert entropy._log_value(GegenbauerSpec(lam, n)) == want
 
     def test_rejects_chebyshev_limit(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Rational arithmetic and the canonical log-linear value form."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,7 +12,7 @@ from hypothesis import given, strategies as st
 from gegentropy import (ExactEntropy, LogLinear, dumps_json,
                         entropy_from_json_dict, entropy_to_json_dict,
                         log_linear_from)
-from gegentropy.exact import factorize
+from gegentropy.exact import ZERO, factorize
 
 F = Fraction
 
@@ -135,6 +137,29 @@ class TestLogLinearValue:
             ExactEntropy(pi_part=part)
         with pytest.raises(ValueError):
             ExactEntropy(plain_part=part)
+
+    def test_log_terms_are_read_only(self):
+        # ZERO is every ExactEntropy's default part; a write through one
+        # value's map would change every later entropy.
+        for v in (LogLinear(F(1), {2: F(1, 3)}), ZERO):
+            terms = v.log_terms
+            for mutate in (lambda d: d.__setitem__(3, F(1)), lambda d: d.__delitem__(2),
+                           lambda d: d.update({3: F(1)}), lambda d: d.setdefault(3, F(1)),
+                           lambda d: d.pop(2), lambda d: d.popitem(), lambda d: d.clear()):
+                with pytest.raises(TypeError):
+                    mutate(terms)
+            with pytest.raises(TypeError):
+                terms |= {3: F(1)}
+        assert ZERO.log_terms == {} and ExactEntropy().is_zero()
+
+    def test_read_only_log_terms_behave_as_a_dict(self):
+        v = LogLinear(F(1), {3: F(1, 2), 2: F(-1)})
+        assert v.log_terms == {2: F(-1), 3: F(1, 2)}
+        assert repr(v.log_terms) == repr({2: F(-1), 3: F(1, 2)})
+        for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert w == v and repr(w) == repr(v)
+            with pytest.raises(TypeError):
+                w.log_terms[5] = F(1)
 
     def test_scalar_and_sum(self):
         v = log_linear_from(1, 6) * F(1, 2) - log_linear_from(F(1, 2), 2)

@@ -114,11 +114,34 @@ class TestSzegoCoeffs:
     def test_lambda1_recovers_chebyshev_u(self):
         for n in range(0, 8):
             c, alphas = szego_coeffs(GegenbauerSpec(1, n))
-            assert c == 1 and alphas == [F(1)]
+            assert c == 1 and alphas == (F(1),)
 
     def test_rejects_chebyshev_t_limit(self):
         with pytest.raises(ValueError):
             szego_coeffs(GegenbauerSpec(0, 3))
+
+
+class TestCoefficientMemo:
+    def test_second_call_returns_the_same_object(self):
+        # Equal specs, built apart, share one build.
+        assert standard_coeffs(GegenbauerSpec(3, 7)) is standard_coeffs(GegenbauerSpec(3, 7))
+        assert szego_coeffs(GegenbauerSpec(3, 7)) is szego_coeffs(GegenbauerSpec(3, 7))
+
+    def test_szego_coeffs_are_tuples(self):
+        for lam in (1, 2, 5):
+            for n in (0, 3, 9):
+                result = szego_coeffs(GegenbauerSpec(lam, n))
+                assert isinstance(result, tuple) and isinstance(result[1], tuple)
+
+    def test_values_survive_eviction(self):
+        spec = GegenbauerSpec(4, 11)
+        before = standard_coeffs(spec), szego_coeffs(spec)
+        for n in range(12, 13 + gegenbauer._COEFF_CACHE_SIZE):
+            standard_coeffs(GegenbauerSpec(4, n))
+            szego_coeffs(GegenbauerSpec(4, n))
+        after = standard_coeffs(spec), szego_coeffs(spec)
+        assert after[0] is not before[0] and after[1] is not before[1]
+        assert after == before
 
 
 class TestOrthonormalScales:
@@ -136,6 +159,13 @@ class TestOrthonormalScales:
                          4 ** lam * math.factorial(n) * (n + lam)
                          * math.factorial(lam - 1) ** 2)
                 assert s2 * k_pi * norm == 1
+
+    @pytest.mark.parametrize("n", [300, 1000, 5000])
+    def test_matches_pochhammer_form_at_large_n(self, n):
+        # s2 = (n+lam) n! / (lam (2 lam)_n) with (2 lam)_n as the rising product.
+        for lam in (1, 5, 12):
+            s2, _ = gegenbauer.orthonormal_scales(GegenbauerSpec(lam, n))
+            assert s2 == F((n + lam) * math.factorial(n)) / (lam * pochhammer(2 * lam, n))
 
     def test_weight_is_a_probability(self):
         # int_0^pi sin^(2 lam) t dt = pi (2 lam)! / (4^lam (lam!)^2).
