@@ -50,7 +50,7 @@ from typing import Dict, List, Tuple, Union
 import mpmath as mp
 
 from .exact import (DEFAULT_PRECISION, MIN_PRECISION, ExactEntropy, LogLinear,
-                    ZERO, log_linear_from, require_int, to_mpf)
+                    ZERO, log_linear_from, require_instance, require_int, to_mpf)
 from .gegenbauer import (GegenbauerSpec, orthonormal_scales, standard_coeffs,
                          szego_coeffs)
 
@@ -73,6 +73,7 @@ class IntegralTable:
 
 
 def _require_integer_parameter(spec: GegenbauerSpec) -> None:
+    require_instance("spec", spec, GegenbauerSpec)
     if spec.lam < 1:
         raise ValueError(
             "entropy assembly requires parameter >= 1 "
@@ -195,6 +196,7 @@ def integrals_faa_di_bruno(spec: GegenbauerSpec) -> IntegralTable:
 
 def assemble_entropy(spec: GegenbauerSpec, table: IntegralTable) -> ExactEntropy:
     """Combine an integral table into E(C_n) = pi * (exact log-linear)."""
+    require_instance("table", table, IntegralTable)
     if table.spec != spec:
         raise ValueError(f"integral table is for {table.spec}, not {spec}")
     c, _ = szego_coeffs(spec)
@@ -219,6 +221,7 @@ def entropy_closed_form(spec: GegenbauerSpec,
     f^(n+1) is evaluated in floating point, keeping this check independent of
     the rational route.
     """
+    require_instance("spec", spec, GegenbauerSpec)
     require_int("precision", precision, MIN_PRECISION)
     lam, n = spec.lam, spec.n
     if lam == 1:
@@ -255,6 +258,7 @@ def normalize_entropy(spec: GegenbauerSpec, e: ExactEntropy) -> ExactEntropy:
     E(normalized) = -log(s2) + s2 k_pi (E(C_n) / pi), and the pi cancels.
     """
     _require_integer_parameter(spec)
+    require_instance("entropy", e, ExactEntropy)
     if not e.plain_part.is_zero():
         raise ValueError("expected an unnormalized entropy (pure pi-multiple)")
     s2, k_pi = orthonormal_scales(spec)
@@ -267,6 +271,7 @@ def normalized_entropy_exact(spec: GegenbauerSpec) -> ExactEntropy:
 
     For the Chebyshev-T limit lam = 0 it is 0 at n = 0 and log 2 - 1 else.
     """
+    require_instance("spec", spec, GegenbauerSpec)
     if spec.lam == 0:
         if spec.n == 0:
             return ExactEntropy()

@@ -47,6 +47,12 @@ def require_rational(name: str, value) -> None:
         raise ValueError(f"{name} must be an int or Fraction, got {value!r}")
 
 
+def require_instance(name: str, value, kind: type) -> None:
+    """Raise ValueError unless value is a `kind`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 def to_mpf(q: RationalLike) -> mp.mpf:
     """Convert an exact rational to mpf at the *current* mpmath precision."""
     if isinstance(q, Fraction):

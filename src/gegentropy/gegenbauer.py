@@ -20,10 +20,10 @@ The szego sine series terminates after lam terms exactly because
 (1-lam)_v = 0 for v >= lam when lam is a positive integer.
 
 The evaluators sum both series by Clenshaw's recurrence in 2 cos(2t), in
-fixed point: Python integers with mp.prec + 10 fraction bits, that is 10
-guard bits beyond the working precision, rounded to an mpf once at the end.
-The szego sum is the folded sine series of n+1 with its first (n+1)//2
-weights zero, so each form costs one mpf_cos_sin per evaluation.
+fixed point: the exact coefficients, cos t and sin t become Python integers
+with 10 guard bits beyond the precision current at each evaluation, and the
+sum is rounded to an mpf once.  The szego sum is the folded sine series of
+n+1 with its first (n+1)//2 weights zero, so each form costs one mpf_cos_sin.
 
 lam = 0 denotes the Chebyshev-T limit and is represented explicitly
 (T_n(cos t) = cos(n t)) instead of through coefficient limits, which would
@@ -41,7 +41,8 @@ from typing import Callable, List, Tuple, Union
 import mpmath as mp
 from mpmath import libmp
 
-from .exact import DEFAULT_PRECISION, MIN_PRECISION, RationalLike, require_int, to_mpf
+from .exact import (DEFAULT_PRECISION, MIN_PRECISION, RationalLike, require_instance,
+                    require_int)
 
 Numeric = Union[Fraction, int, mp.mpf]
 
@@ -89,6 +90,7 @@ def _standard_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, ...]:
 
 def standard_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, ...]:
     """The cosine coefficients (d_0, ..., d_n), built once per spec."""
+    require_instance("spec", spec, GegenbauerSpec)
     return _standard_coeffs(spec)
 
 
@@ -112,6 +114,7 @@ def szego_coeffs(spec: GegenbauerSpec) -> Tuple[Fraction, Tuple[Fraction, ...]]:
 
     Built once per spec, like standard_coeffs.
     """
+    require_instance("spec", spec, GegenbauerSpec)
     return _szego_coeffs(spec)
 
 
@@ -122,6 +125,7 @@ def orthonormal_scales(spec: GegenbauerSpec) -> Tuple[Fraction, Fraction]:
     sqrt(s2) C_n has unit norm for it: s2 = (n+lam) n! / (lam (2 lam)_n), or
     in the Chebyshev-T limit lam = 0, where k_pi = 1, s2 = 2 (1 at n = 0).
     """
+    require_instance("spec", spec, GegenbauerSpec)
     lam, n = spec.lam, spec.n
     k_pi = Fraction(math.factorial(lam) ** 2 * 4 ** lam, math.factorial(2 * lam))
     if lam == 0:
@@ -135,19 +139,6 @@ def orthonormal_scales(spec: GegenbauerSpec) -> Tuple[Fraction, Fraction]:
 _GUARD_BITS = 10
 
 
-def _cos_sin_fixed(theta) -> Tuple[int, int, int]:
-    """(cos theta, sin theta, bits), fixed point with mp.prec + 10 fraction bits."""
-    bits = mp.mp.prec + _GUARD_BITS
-    c, s = libmp.mpf_cos_sin(mp.convert(theta)._mpf_, bits)
-    return libmp.to_fixed(c, bits), libmp.to_fixed(s, bits), bits
-
-
-def _from_fixed(value: int, bits: int) -> mp.mpf:
-    """The fixed-point value / 2^bits, rounded to the current precision."""
-    return mp.make_mpf(
-        libmp.from_man_exp(value, -bits, mp.mp.prec, libmp.round_nearest))
-
-
 def _clenshaw(weights: List[int], x2: int, phi0: int, phi1: int, bits: int) -> int:
     """sum_k weights[k] phi_k for phi_(k+1) = x2 phi_k - phi_(k-1), backwards.
 
@@ -159,7 +150,7 @@ def _clenshaw(weights: List[int], x2: int, phi0: int, phi1: int, bits: int) -> i
     return weights[0] * phi0 + b1 * phi1 - b2 * phi0 >> bits
 
 
-def _folded_weights(spec: GegenbauerSpec) -> List[mp.mpf]:
+def _folded_weights(spec: GegenbauerSpec) -> List[Fraction]:
     """Weights of 1 or cos(t), then cos(2t) or cos(3t), ..., cos(n t) in C_n(cos t).
 
     d_m = d_{n-m} pairs the frequencies n-2m and -(n-2m), so each pair
@@ -167,25 +158,25 @@ def _folded_weights(spec: GegenbauerSpec) -> List[mp.mpf]:
     """
     d = standard_coeffs(spec)
     half = (spec.n + 1) // 2
-    weights = [2 * to_mpf(dm) for dm in d[:half]]
+    weights = [2 * dm for dm in d[:half]]
     if spec.n % 2 == 0:
-        weights.append(to_mpf(d[half]))
+        weights.append(d[half])
     return weights[::-1]
 
 
-def _folded_series(n: int, weights: List[mp.mpf],
+def _folded_series(n: int, weights: List[RationalLike],
                    sine: bool = False) -> Callable[[int, int, int], int]:
     """(cos t, sin t, bits) -> sum_k weights[k] wave((2k + n mod 2) t), wave cos or sin.
 
-    Arguments and result are fixed-point with `bits` fraction bits (see
-    _cos_sin_fixed).  The waves obey _clenshaw's recurrence with x2 = 2 cos 2t.
-    The weights become fixed-point integers once per bits.
+    Arguments and result are fixed-point with `bits` fraction bits.  The
+    waves obey _clenshaw's recurrence with x2 = 2 cos 2t.  The exact weights
+    become fixed-point integers, floor(w 2^bits), once per bits.
     """
     fixed = {}
 
     def evaluate(c, s, bits):
         if bits not in fixed:
-            fixed[bits] = [libmp.to_fixed(w._mpf_, bits) for w in weights]
+            fixed[bits] = [(w.numerator << bits) // w.denominator for w in weights]
         one = 1 << bits
         x2 = (2 << bits) - (s * s >> bits - 2)  # 2 cos 2t, accurate as t -> 0
         if n % 2:
@@ -199,10 +190,16 @@ def _folded_series(n: int, weights: List[mp.mpf],
 
 
 def _at_angle(series: Callable[[int, int, int], int]) -> Callable[[mp.mpf], mp.mpf]:
-    """theta -> a _folded_series at theta, as an mpf at the current precision."""
+    """theta -> a fixed-point series at theta, as an mpf at the current precision.
+
+    The module's one mpf <-> fixed-point boundary: cos and sin of theta enter
+    with mp.prec + 10 fraction bits, and the series' value is rounded once.
+    """
     def evaluate(theta):
-        c, s, bits = _cos_sin_fixed(theta)
-        return _from_fixed(series(c, s, bits), bits)
+        bits = mp.mp.prec + _GUARD_BITS
+        c, s = libmp.mpf_cos_sin(mp.convert(theta)._mpf_, bits)
+        value = series(libmp.to_fixed(c, bits), libmp.to_fixed(s, bits), bits)
+        return mp.mpf((value, -bits))
 
     return evaluate
 
@@ -210,34 +207,40 @@ def _at_angle(series: Callable[[int, int, int], int]) -> Callable[[mp.mpf], mp.m
 def standard_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
     """theta -> C_n(cos theta) from the cosine series.
 
-    The coefficients are rounded once, at the mpmath precision current at
-    this call.  The sum walks the folded frequencies n mod 2, ..., n-2, n
-    in fixed point from one cos_sin per evaluation.
+    The coefficients are exact, and each evaluation runs at the mpmath
+    precision current when it is made.  The sum walks the folded
+    frequencies n mod 2, ..., n-2, n in fixed point from one cos_sin.
     """
+    require_instance("spec", spec, GegenbauerSpec)
     return _at_angle(_folded_series(spec.n, _folded_weights(spec)))
 
 
 def szego_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
     """theta -> C_n(cos theta) from the szego sine series, lam >= 1.
 
-    The coefficients are rounded once, at the mpmath precision current at
-    this call.  sum_v a_v sin((n+1+2v) t) is the folded sine series of n+1
-    whose first (n+1)//2 weights are zero, summed from one cos_sin per
-    evaluation.  It is divided by (sin theta)^(2 lam - 1), so it is
-    singular at theta = 0 and theta = pi; use the standard form there.
+    The coefficients are exact, and each evaluation runs at the mpmath
+    precision current when it is made.  sum_v c a_v sin((n+1+2v) t) is the
+    folded sine series of n+1 whose first (n+1)//2 weights are zero, divided
+    by (sin t)^(2 lam - 1) in fixed point.  Above pi/2 it is evaluated as
+    (-1)^n times its value at pi - theta, so it raises ValueError at theta = 0
+    and theta = pi alike; use the standard form there.
     """
     c, alphas = szego_coeffs(spec)
-    prefactor = to_mpf(c)
     n, power = spec.n, 2 * spec.lam - 1
-    series = _folded_series(
-        n + 1, [mp.mpf(0)] * ((n + 1) // 2) + [to_mpf(a) for a in alphas], sine=True)
+    series = _folded_series(n + 1, [0] * ((n + 1) // 2) + [c * a for a in alphas],
+                            sine=True)
 
-    def evaluate(theta):
-        cos_t, sin_t, bits = _cos_sin_fixed(theta)
+    def divided(cos_t, sin_t, bits):
         if not sin_t:
             raise ValueError("szego representation is singular at theta = 0, pi")
-        return (prefactor * _from_fixed(series(cos_t, sin_t, bits), bits)
-                / _from_fixed(sin_t, bits) ** power)
+        return (series(cos_t, sin_t, bits) << power * bits) // sin_t ** power
+
+    at_angle = _at_angle(divided)
+
+    def evaluate(theta):
+        if theta > mp.pi / 2:
+            return (-1) ** n * at_angle(mp.pi - theta)
+        return at_angle(theta)
 
     return evaluate
 
@@ -248,6 +251,7 @@ def gegenbauer_value(spec: GegenbauerSpec, x: Numeric) -> Numeric:
     Exact (Fraction in, Fraction out) for rational x, floating at the ambient
     mpmath precision otherwise.
     """
+    require_instance("spec", spec, GegenbauerSpec)
     lam, n = spec.lam, spec.n
     exact = isinstance(x, (int, Fraction))
     one = Fraction(1) if exact else mp.mpf(1)
@@ -277,6 +281,7 @@ def zero_angles(spec: GegenbauerSpec, precision: int = DEFAULT_PRECISION) -> Lis
     10 digits and must show a sign change across root -+ 10^(2-precision)/2.
     pi/2 is a zero for odd n; the zeros above it are the mirror images pi - t.
     """
+    require_instance("spec", spec, GegenbauerSpec)
     require_int("precision", precision, MIN_PRECISION)
     n = spec.n
     if n == 0:

@@ -33,7 +33,7 @@ from mpmath.calculus.quadrature import TanhSinh
 # The fixed-point cos/sin behind libmp.mpf_cos_sin, for angles in [0, pi/2].
 from mpmath.libmp.libelefun import cos_sin_basecase
 
-from .exact import MIN_PRECISION, require_int, to_mpf
+from .exact import MIN_PRECISION, require_instance, require_int, to_mpf
 from .gegenbauer import (_GUARD_BITS, GegenbauerSpec, _folded_series,
                          _folded_weights, orthonormal_scales, zero_angles)
 
@@ -69,7 +69,7 @@ class ToleranceNotMet(Exception):
 
 def _panel_knots(spec: GegenbauerSpec, cfg: QuadratureConfig) -> List[mp.mpf]:
     """0, the zero angles in (0, pi/2), and pi/2."""
-    inner = zero_angles(spec, cfg.working_precision) if spec.n else []
+    inner = zero_angles(spec, cfg.working_precision)
     return [mp.mpf(0)] + inner[:spec.n // 2] + [mp.pi / 2]
 
 
@@ -156,32 +156,34 @@ def _weighted_integral(spec: GegenbauerSpec, cfg: QuadratureConfig,
     """int_0^pi weight g [-log g] sin(t)^(2 lam) dt, g = scale C_n(cos t)^2.
 
     (scale, weight) is (1, 1), or (s2, k_pi/pi) of orthonormal_scales when
-    `orthonormal` is set; a node where g = 0 adds its limit value 0.  The
-    caller holds cfg's working precision.
+    `orthonormal` is set; a node where g = 0 adds its limit value 0.  It runs
+    at cfg's working precision.
     """
-    scale = weight = mp.mpf(1)
-    if orthonormal:
-        s2, k_pi = orthonormal_scales(spec)
-        scale, weight = to_mpf(s2), to_mpf(k_pi) / mp.pi
-    poly = _folded_series(spec.n, _folded_weights(spec))
-    two_lam = 2 * spec.lam
-    scale_man, scale_exp = scale.man_exp  # both constants are > 0
-    weight_man, weight_exp = weight.man_exp
+    require_instance("cfg", cfg, QuadratureConfig)
+    with mp.workdps(cfg.working_precision):
+        scale = weight = mp.mpf(1)
+        if orthonormal:
+            s2, k_pi = orthonormal_scales(spec)
+            scale, weight = to_mpf(s2), to_mpf(k_pi) / mp.pi
+        poly = _folded_series(spec.n, _folded_weights(spec))
+        two_lam = 2 * spec.lam
+        scale_man, scale_exp = scale.man_exp  # both constants are > 0
+        weight_man, weight_exp = weight.man_exp
 
-    def f(theta, bits):
-        c, s = cos_sin_basecase(theta, bits)
-        p = poly(c, s, bits)
-        g = scale_man * p * p
-        if not g:
-            return 0
-        g_exp = scale_exp - 2 * bits
-        man = weight_man * g * s ** two_lam
-        exp = weight_exp + g_exp - two_lam * bits
-        if log:
-            return _times_log(-man, exp, g, g_exp, bits)
-        return man >> -exp - bits
+        def f(theta, bits):
+            c, s = cos_sin_basecase(theta, bits)
+            p = poly(c, s, bits)
+            g = scale_man * p * p
+            if not g:
+                return 0
+            g_exp = scale_exp - 2 * bits
+            man = weight_man * g * s ** two_lam
+            exp = weight_exp + g_exp - two_lam * bits
+            if log:
+                return _times_log(-man, exp, g, g_exp, bits)
+            return man >> -exp - bits
 
-    return _integrate(f, _panel_knots(spec, cfg), cfg)
+        return _integrate(f, _panel_knots(spec, cfg), cfg)
 
 
 def entropy_quadrature(spec: GegenbauerSpec,
@@ -192,8 +194,7 @@ def entropy_quadrature(spec: GegenbauerSpec,
     half range split at the zero angles, where the integrand has its
     t^2 log t^2 kinks.
     """
-    with mp.workdps(cfg.working_precision):
-        return _weighted_integral(spec, cfg, log=True)
+    return _weighted_integral(spec, cfg, log=True)
 
 
 def integral_I_quadrature(spec: GegenbauerSpec, m: int,
@@ -203,12 +204,14 @@ def integral_I_quadrature(spec: GegenbauerSpec, m: int,
     cos(2m t) is the folded cosine series of 2m with one weight.  A node where
     the fixed-point C_n is 0 takes C_n^2 = 2^(-2 bits), one unit in its last place.
     """
+    require_instance("spec", spec, GegenbauerSpec)
+    require_instance("cfg", cfg, QuadratureConfig)
     require_int("m", m, 0)
     if m > spec.n + spec.lam:
         raise ValueError(f"moment index {m} outside 0..{spec.n + spec.lam}")
     with mp.workdps(cfg.working_precision):
         poly = _folded_series(spec.n, _folded_weights(spec))
-        wave = _folded_series(2 * m, [mp.mpf(0)] * m + [mp.mpf(1)])
+        wave = _folded_series(2 * m, [0] * m + [1])
 
         def f(theta, bits):
             c, s = cos_sin_basecase(theta, bits)
@@ -221,12 +224,10 @@ def integral_I_quadrature(spec: GegenbauerSpec, m: int,
 def normalized_entropy_quadrature(spec: GegenbauerSpec,
                                   cfg: QuadratureConfig = QuadratureConfig()) -> mp.mpf:
     """Direct estimate of the orthonormalized entropy within cfg.target_abs_tol."""
-    with mp.workdps(cfg.working_precision):
-        return _weighted_integral(spec, cfg, orthonormal=True, log=True)
+    return _weighted_integral(spec, cfg, orthonormal=True, log=True)
 
 
 def orthonormality_quadrature(spec: GegenbauerSpec,
                               cfg: QuadratureConfig = QuadratureConfig()) -> mp.mpf:
     """int of (orthonormalized C_n)^2 against its weight; exactly 1 when sound."""
-    with mp.workdps(cfg.working_precision):
-        return _weighted_integral(spec, cfg, orthonormal=True)
+    return _weighted_integral(spec, cfg, orthonormal=True)

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from gegentropy import (ExactEntropy, GegenbauerSpec, LogLinear,
                         assemble_entropy, beta_vector, entropy, entropy_closed_form,
-                        entropy_exact, integrals_faa_di_bruno,
+                        entropy_exact, entropy_quadrature, integrals_faa_di_bruno,
                         integrals_series_log, integrals_standard_rep,
                         log_linear_from, normalize_entropy,
                         normalized_entropy_exact, standard_coeffs,
-                        szego_coeffs)
+                        standard_representation, szego_coeffs, zero_angles)
 from gegentropy.gegenbauer import pochhammer
 
 F = Fraction
@@ -328,3 +328,20 @@ def test_gibbs_inequality(lam, n):
         assert e.is_zero()
     else:
         assert e.evaluate(50) < 0
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("call", [
+        lambda: entropy_exact("x"),
+        lambda: zero_angles((2, 3)),
+        lambda: assemble_entropy(GegenbauerSpec(2, 3), "t"),
+        lambda: normalize_entropy(GegenbauerSpec(2, 3), mp.mpf(1)),
+        lambda: entropy_quadrature(GegenbauerSpec(2, 3), None),
+        lambda: normalized_entropy_exact(None),
+        lambda: standard_representation("x"),
+    ], ids=["entropy_exact", "zero_angles", "assemble_entropy",
+            "normalize_entropy", "entropy_quadrature",
+            "normalized_entropy_exact", "standard_representation"])
+    def test_wrong_type_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match="must be a"):
+            call()

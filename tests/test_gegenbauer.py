@@ -258,6 +258,30 @@ class TestTrigRepresentations:
         with pytest.raises(ValueError):
             rep(0)
 
+    def test_szego_singular_at_pi(self):
+        # sin(mp.pi) is the rounding error of mp.pi, not 0; the mirror
+        # theta -> pi - theta takes mp.pi to 0 exactly.
+        rep = szego_representation(GegenbauerSpec(2, 3))
+        with mp.workdps(50):
+            with pytest.raises(ValueError):
+                rep(mp.pi)
+            t = mp.pi - mp.mpf("1e-3")
+            want = gegenbauer_value(GegenbauerSpec(2, 3), mp.cos(t))  # near -20
+            assert abs(rep(t) - want) < 1e-40
+
+    @pytest.mark.parametrize("lam,n", [(3, 7), (5, 40), (12, 60)])
+    def test_precision_read_at_evaluation(self, lam, n):
+        # Built at 15 digits and evaluated at 60: the coefficients are
+        # exact, so only the precision at the evaluation counts.
+        spec = GegenbauerSpec(lam, n)
+        with mp.workdps(15):
+            reps = standard_representation(spec), szego_representation(spec)
+        with mp.workdps(60):
+            t = mp.mpf(1) / 3
+            want = gegenbauer_value(spec, mp.cos(t))
+            for rep in reps:
+                assert abs(rep(t) - want) < mp.mpf("1e-55") * abs(want)
+
     def test_representation_shapes(self):
         spec = GegenbauerSpec(4, 6)
         assert len(standard_coeffs(spec)) == 7
