@@ -21,11 +21,10 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from itertools import zip_longest
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import mpmath as mp
 
@@ -108,32 +107,23 @@ def round_half_even(x: mp.mpf, places: int = 3) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Records
+# Records and tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OutputRecord:
-    lam: int
-    n: int
-    normalized: bool
-    exact: ExactEntropy
-    decimal: str
-    route: str
-
-    def to_json_dict(self, precision: int) -> dict:
-        return {"lambda": self.lam, "n": self.n, "normalized": self.normalized,
-                "exact": entropy_to_json_dict(self.exact, precision),
-                "decimal": self.decimal, "route": self.route}
+def _json_record(spec: GegenbauerSpec, normalized: bool, e: ExactEntropy,
+                 decimal: str, precision: int) -> dict:
+    """The JSON record of one entropy, as entropy and table print it."""
+    return {"lambda": spec.lam, "n": spec.n, "normalized": normalized,
+            "exact": entropy_to_json_dict(e, precision), "decimal": decimal,
+            "route": "closed-form" if spec.lam == 0 else ROUTE_SERIES_LOG}
 
 
-def _entropy_record(spec: GegenbauerSpec, normalized: bool, precision: int,
-                    decimal_places: Optional[int] = None) -> OutputRecord:
-    e = normalized_entropy_exact(spec) if normalized else entropy_exact(spec)
-    route = "closed-form" if spec.lam == 0 else ROUTE_SERIES_LOG
-    value = e.evaluate(precision)
-    dec = (decimal_string(value, precision) if decimal_places is None
-           else round_half_even(value, decimal_places))
-    return OutputRecord(spec.lam, spec.n, normalized, e, dec, route)
+def _print_table(key: str, rows: List[Tuple[int, str, str]]) -> None:
+    """Aligned text rows of (key, exact text, decimal)."""
+    width = max(len(exact) for _, exact, _ in rows)
+    print(f"{key:>3}  {'exact':<{width}}  value")
+    for k, exact, dec in rows:
+        print(f"{k:>3}  {exact:<{width}}  {dec}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +152,14 @@ def cmd_entropy(args) -> int:
                          "pass --normalized")
     precision = _resolve_precision(args)
     spec = GegenbauerSpec(args.lam, args.n)
-    record = _entropy_record(spec, args.normalized, precision)
+    e = normalized_entropy_exact(spec) if args.normalized else entropy_exact(spec)
+    dec = decimal_string(e.evaluate(precision), precision)
     if args.fmt == "exact":
-        print(format_exact_entropy(record.exact))
+        print(format_exact_entropy(e))
     elif args.fmt == "decimal":
-        print(record.decimal)
+        print(dec)
     else:
-        print(dumps_json(record.to_json_dict(precision)))
+        print(dumps_json(_json_record(spec, args.normalized, e, dec, precision)))
     return 0
 
 
@@ -178,25 +169,21 @@ def cmd_table(args) -> int:
     if args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
     precision = _resolve_precision(args)
-    records = [
-        _entropy_record(GegenbauerSpec(args.lam, n), False, precision,
-                        decimal_places=3)
-        for n in range(1, args.n_max + 1)
-    ]
+    specs = [GegenbauerSpec(args.lam, n) for n in range(1, args.n_max + 1)]
+    entropies = [entropy_exact(spec) for spec in specs]
+    decimals = [round_half_even(e.evaluate(precision), 3) for e in entropies]
+    if args.fmt == "json":
+        for spec, e, dec in zip(specs, entropies, decimals):
+            print(dumps_json(_json_record(spec, False, e, dec, precision)))
+        return 0
+    rows = [(spec.n, format_exact_entropy(e), dec)
+            for spec, e, dec in zip(specs, entropies, decimals)]
     if args.fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["lambda", "n", "exact", "decimal"])
-        for r in records:
-            writer.writerow([r.lam, r.n, format_exact_entropy(r.exact), r.decimal])
-    elif args.fmt == "json":
-        for r in records:
-            print(dumps_json(r.to_json_dict(precision)))
+        writer.writerows((args.lam, *row) for row in rows)
     else:
-        exacts = [format_exact_entropy(r.exact) for r in records]
-        width = max(len(s) for s in exacts)
-        print(f"{'n':>3}  {'exact':<{width}}  value")
-        for r, s in zip(records, exacts):
-            print(f"{r.n:>3}  {s:<{width}}  {r.decimal}")
+        _print_table("n", rows)
     return 0
 
 
@@ -223,19 +210,15 @@ def cmd_integrals(args) -> int:
     if args.fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["lambda", "n", "m", "exact", "decimal", "route"])
-        for m, exact, dec in rows:
-            writer.writerow([spec.lam, spec.n, m, exact, dec, table.route])
+        writer.writerows((spec.lam, spec.n, *row, table.route) for row in rows)
     elif args.fmt == "json":
         for m, exact, dec in rows:
             print(dumps_json({"lambda": spec.lam, "n": spec.n, "m": m,
                               "exact": exact, "decimal": dec,
                               "route": table.route}))
     else:
-        width = max(len(r[1]) for r in rows)
         print(f"route: {table.route}")
-        print(f"{'m':>3}  {'exact':<{width}}  value")
-        for m, exact, dec in rows:
-            print(f"{m:>3}  {exact:<{width}}  {dec}")
+        _print_table("m", rows)
     return 0
 
 
@@ -254,18 +237,17 @@ def cmd_verify(args) -> int:
         for n in range(0, args.n_max + 1):
             spec = GegenbauerSpec(lam, n)
             reference = integrals_series_log(spec)
-            route_ok = True
-            for other in (integrals_faa_di_bruno(spec),
-                          integrals_standard_rep(spec)):
-                # A missing entry (None) is a mismatch too.
+            # A missing entry (None) is a mismatch too.
+            mismatches = [
+                f"route mismatch lambda={lam} n={n} m={m} "
+                f"({reference.route} vs {other.route})"
+                for other in (integrals_faa_di_bruno(spec),
+                              integrals_standard_rep(spec))
                 for m, (a, b) in enumerate(zip_longest(reference.values,
-                                                       other.values)):
-                    if a != b:
-                        route_ok = False
-                        failures.append(
-                            f"route mismatch lambda={lam} n={n} m={m} "
-                            f"({reference.route} vs {other.route})")
-            status = "routes=ok" if route_ok else "routes=FAIL"
+                                                       other.values))
+                if a != b]
+            failures += mismatches
+            status = "routes=FAIL" if mismatches else "routes=ok"
             if args.skip_quadrature:
                 print(f"lambda={lam} n={n} {status} quad=skipped")
                 continue

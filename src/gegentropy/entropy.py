@@ -71,6 +71,13 @@ class IntegralTable:
     values: Tuple[LogLinear, ...]
     route: str
 
+    def __post_init__(self):
+        require_instance("spec", self.spec, GegenbauerSpec)
+        if not (isinstance(self.values, tuple)
+                and all(isinstance(v, LogLinear) for v in self.values)):
+            raise ValueError(
+                f"values must be a tuple of LogLinear, got {self.values!r}")
+
 
 def _require_integer_parameter(spec: GegenbauerSpec) -> None:
     require_instance("spec", spec, GegenbauerSpec)

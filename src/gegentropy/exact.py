@@ -85,6 +85,44 @@ def factorize(n: int) -> Dict[int, int]:
     return factors
 
 
+#: The 13 primes up to 41, the trial divisors and Miller-Rabin bases of _is_prime.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: psi_13, the least odd composite that is a strong probable prime to every
+#: base in _PRIME_BASES; below it the Miller-Rabin test there is exact.
+_PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality of an int 2 <= n < psi_13.
+
+    Trial division by the primes up to 41 settles every n below 41**2; a
+    Miller-Rabin test to those bases settles the rest.  ValueError at or
+    above psi_13, where the test is no longer a proof.
+    """
+    if n >= _PSI_13:
+        raise ValueError(f"cannot prove {n} prime: it is >= psi_13 = {_PSI_13}")
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 41 * 41:
+        return n > 1
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class _ReadOnlyDict(dict):
     """A dict whose mutators raise TypeError; repr and equality are dict's."""
 
@@ -123,7 +161,7 @@ class LogLinear:
         )
         for p in cleaned:
             # Equality decidability rests on the keys being prime.
-            if factorize(p) != {p: 1}:
+            if not _is_prime(p):
                 raise ValueError(f"log-term key {p} is not prime")
         object.__setattr__(self, "constant", Fraction(self.constant))
         object.__setattr__(self, "log_terms", cleaned)
@@ -223,6 +261,7 @@ def _log_list(v: LogLinear) -> list:
 
 
 def entropy_to_json_dict(e: ExactEntropy, precision: int = DEFAULT_PRECISION) -> dict:
+    require_instance("entropy", e, ExactEntropy)
     return {
         "pi_log": _log_list(e.pi_part),
         "pi_const": str(e.pi_part.constant),

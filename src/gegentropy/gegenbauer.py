@@ -248,10 +248,12 @@ def szego_representation(spec: GegenbauerSpec) -> Callable[[mp.mpf], mp.mpf]:
 def gegenbauer_value(spec: GegenbauerSpec, x: Numeric) -> Numeric:
     """C_n^(lam)(x) by the three-term recurrence; T_n(x) when lam = 0.
 
-    Exact (Fraction in, Fraction out) for rational x, floating at the ambient
-    mpmath precision otherwise.
+    Exact (Fraction in, Fraction out) for an int or Fraction x, floating at
+    the ambient mpmath precision for a float or mpf; ValueError otherwise.
     """
     require_instance("spec", spec, GegenbauerSpec)
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, float, mp.mpf)):
+        raise ValueError(f"x must be a rational or a real float, got {x!r}")
     lam, n = spec.lam, spec.n
     exact = isinstance(x, (int, Fraction))
     one = Fraction(1) if exact else mp.mpf(1)

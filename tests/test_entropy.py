@@ -8,11 +8,12 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gegentropy import (ExactEntropy, GegenbauerSpec, LogLinear,
+from gegentropy import (ExactEntropy, GegenbauerSpec, IntegralTable, LogLinear,
                         assemble_entropy, beta_vector, entropy, entropy_closed_form,
                         entropy_exact, entropy_quadrature, integrals_faa_di_bruno,
                         integrals_series_log, integrals_standard_rep,
                         log_linear_from, normalize_entropy,
+                        entropy_to_json_dict, gegenbauer_value,
                         normalized_entropy_exact, standard_coeffs,
                         standard_representation, szego_coeffs, zero_angles)
 from gegentropy.gegenbauer import pochhammer
@@ -339,9 +340,23 @@ class TestArgumentTypes:
         lambda: entropy_quadrature(GegenbauerSpec(2, 3), None),
         lambda: normalized_entropy_exact(None),
         lambda: standard_representation("x"),
+        lambda: entropy_to_json_dict("x"),
+        lambda: gegenbauer_value(GegenbauerSpec(2, 3), "x"),
+        lambda: gegenbauer_value(GegenbauerSpec(2, 3), None),
+        lambda: gegenbauer_value(GegenbauerSpec(2, 3), True),
+        lambda: assemble_entropy(GegenbauerSpec(2, 3),
+                                 IntegralTable(GegenbauerSpec(2, 3), None, "x")),
+        lambda: assemble_entropy(GegenbauerSpec(1, 1),
+                                 IntegralTable(GegenbauerSpec(1, 1),
+                                               (1.0, 0.5, 0.25), "x")),
+        lambda: IntegralTable((1, 1), (LogLinear(),) * 3, "x"),
     ], ids=["entropy_exact", "zero_angles", "assemble_entropy",
             "normalize_entropy", "entropy_quadrature",
-            "normalized_entropy_exact", "standard_representation"])
+            "normalized_entropy_exact", "standard_representation",
+            "entropy_to_json_dict", "gegenbauer_value_str",
+            "gegenbauer_value_none", "gegenbauer_value_bool",
+            "integral_table_values_none", "integral_table_of_floats",
+            "integral_table_spec"])
     def test_wrong_type_is_a_value_error(self, call):
         with pytest.raises(ValueError, match="must be a"):
             call()

@@ -117,6 +117,24 @@ class TestLogLinearValue:
         with pytest.raises(ValueError):
             LogLinear(F(0), {1: F(1)})
 
+    def test_large_prime_key_round_trips(self):
+        # Too large to prove prime by trial division in any useful time.
+        e = ExactEntropy(plain_part=LogLinear(F(1), {2**61 - 1: F(3)}))
+        assert entropy_from_json_dict(entropy_to_json_dict(e)) == e
+
+    def test_large_composite_key_rejected(self):
+        # psi_12 = 399165290221 * 798330580441 is a strong probable prime
+        # to the bases 2 .. 37; base 41 shows it composite.
+        with pytest.raises(ValueError, match="not prime"):
+            LogLinear(F(0), {318665857834031151167461: F(1)})
+
+    @pytest.mark.parametrize("key", [3317044064679887385961981,
+                                     2**89 - 1])
+    def test_keys_past_psi_13_rejected(self, key):
+        # Miller-Rabin to the 13 bases 2 .. 41 is a proof only below psi_13.
+        with pytest.raises(ValueError, match="psi_13"):
+            LogLinear(F(0), {key: F(1)})
+
     @pytest.mark.parametrize("key", [2.0, True, "2", F(2)])
     def test_non_int_keys_rejected(self, key):
         # A float key would be written as "prime": 2.0, which the JSON

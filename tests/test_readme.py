@@ -1,13 +1,16 @@
-"""README's library example runs and says what it computes."""
+"""README's library and CLI examples run and say what they compute."""
 
+import json
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
+import pytest
 
 import gegentropy
-from gegentropy import ExactEntropy, LogLinear
+from gegentropy import ExactEntropy, LogLinear, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +42,43 @@ def test_public_names_resolve():
                          re.DOTALL).group(1)
     for name in re.findall(r"\w+", imported):
         assert name in gegentropy.__all__, name
+
+
+def cli_examples():
+    """(argv, shown output or None) for each `$ gegentropy` line of README."""
+    block = re.search(r"## CLI\n\n```\n(.*?)```", README.read_text(),
+                      re.DOTALL).group(1)
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            argv = shlex.split(line[2:], comments=True)
+            assert argv[0] == "gegentropy", line
+            examples.append((argv[1:], []))
+        elif line:
+            examples[-1][1].append(line)
+    return [(argv, "\n".join(shown) or None) for argv, shown in examples]
+
+
+CLI_EXAMPLES = cli_examples()
+
+
+@pytest.mark.parametrize("argv, shown", CLI_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in CLI_EXAMPLES])
+def test_cli_example_runs_and_prints_what_is_shown(argv, shown, capsys,
+                                                   monkeypatch):
+    monkeypatch.delenv(cli.ENV_PRECISION, raising=False)
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out.rstrip("\n")
+    if shown is None:
+        return
+    if shown.startswith("{"):
+        # "{...}" and "..." stand for values elided from the record.
+        want = json.loads(shown.replace("{...}", "null").replace('"..."', "null"))
+        got = json.loads(out)
+        assert list(got) == list(want)
+        for key, value in want.items():
+            assert value is None or got[key] == value, key
+    elif shown.endswith("..."):
+        assert out.startswith(shown[:-3])
+    else:
+        assert out == shown
