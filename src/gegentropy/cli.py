@@ -24,7 +24,7 @@ import sys
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from itertools import zip_longest
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import mpmath as mp
 
@@ -38,6 +38,9 @@ from .gegenbauer import GegenbauerSpec
 from .quadrature import (QuadratureConfig, ToleranceNotMet, entropy_quadrature)
 
 ENV_PRECISION = "GEGENTROPY_PRECISION"
+
+#: Decimals of the paper's tables, which `table` reproduces.
+_TABLE_PLACES = 3
 
 
 class UsageError(Exception):
@@ -97,12 +100,12 @@ def format_exact_entropy(e: ExactEntropy) -> str:
     return "".join(parts)
 
 
-def round_half_even(x: mp.mpf, places: int = 3) -> str:
-    """Fixed-point rendering with banker's rounding at `places` decimals,
+def round_half_even(x: mp.mpf) -> str:
+    """Fixed-point rendering with banker's rounding at the tables' 3 decimals,
     from 30 significant digits or 2 past the last kept decimal if more."""
-    digits = max(30, len(str(int(abs(x)))) + places + 2)
+    digits = max(30, len(str(int(abs(x)))) + _TABLE_PLACES + 2)
     return str(Decimal(mp.nstr(x, digits)).quantize(
-        Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN,
+        Decimal(1).scaleb(-_TABLE_PLACES), rounding=ROUND_HALF_EVEN,
         context=Context(prec=digits)))
 
 
@@ -111,10 +114,12 @@ def round_half_even(x: mp.mpf, places: int = 3) -> str:
 # ---------------------------------------------------------------------------
 
 def _json_record(spec: GegenbauerSpec, normalized: bool, e: ExactEntropy,
-                 decimal: str, precision: int) -> dict:
-    """The JSON record of one entropy, as entropy and table print it."""
+                 precision: int, decimal: Optional[str] = None) -> dict:
+    """The JSON record of one entropy, as entropy and table print it; its
+    decimal is the exact value's own `precision`-digit one unless given."""
+    exact = entropy_to_json_dict(e, precision)
     return {"lambda": spec.lam, "n": spec.n, "normalized": normalized,
-            "exact": entropy_to_json_dict(e, precision), "decimal": decimal,
+            "exact": exact, "decimal": decimal or exact["decimal"],
             "route": "closed-form" if spec.lam == 0 else ROUTE_SERIES_LOG}
 
 
@@ -153,13 +158,12 @@ def cmd_entropy(args) -> int:
     precision = _resolve_precision(args)
     spec = GegenbauerSpec(args.lam, args.n)
     e = normalized_entropy_exact(spec) if args.normalized else entropy_exact(spec)
-    dec = decimal_string(e.evaluate(precision), precision)
     if args.fmt == "exact":
         print(format_exact_entropy(e))
     elif args.fmt == "decimal":
-        print(dec)
+        print(decimal_string(e.evaluate(precision), precision))
     else:
-        print(dumps_json(_json_record(spec, args.normalized, e, dec, precision)))
+        print(dumps_json(_json_record(spec, args.normalized, e, precision)))
     return 0
 
 
@@ -171,10 +175,10 @@ def cmd_table(args) -> int:
     precision = _resolve_precision(args)
     specs = [GegenbauerSpec(args.lam, n) for n in range(1, args.n_max + 1)]
     entropies = [entropy_exact(spec) for spec in specs]
-    decimals = [round_half_even(e.evaluate(precision), 3) for e in entropies]
+    decimals = [round_half_even(e.evaluate(precision)) for e in entropies]
     if args.fmt == "json":
         for spec, e, dec in zip(specs, entropies, decimals):
-            print(dumps_json(_json_record(spec, False, e, dec, precision)))
+            print(dumps_json(_json_record(spec, False, e, precision, dec)))
         return 0
     rows = [(spec.n, format_exact_entropy(e), dec)
             for spec, e, dec in zip(specs, entropies, decimals)]

@@ -60,27 +60,37 @@ def to_mpf(q: RationalLike) -> mp.mpf:
     return mp.mpf(q)
 
 
+#: Trial division in factorize stops at this divisor.
+_TRIAL_BOUND = 2 ** 20
+
+
 def factorize(n: int) -> Dict[int, int]:
     """Prime factorization of a positive integer by trial division.
 
-    Log arguments in this package are products of small integers, so trial
-    division (2, 3, then a 6k+-1 wheel) is never a bottleneck.
+    The package's own log arguments have no prime factor above n + 2 lam of
+    their spec, so trial division (2, 3, then a 6k+-1 wheel) is never a
+    bottleneck.  It stops at _TRIAL_BOUND; a cofactor left above 1 must then
+    be proved prime by _is_prime, or ValueError names the argument.
     """
     if n <= 0:
         raise ValueError(f"can only factor positive integers, got {n}")
+    arg = n
     factors: Dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
     p = 5
-    while p * p <= n:
+    while p * p <= n and p < _TRIAL_BOUND:
         for q in (p, p + 2):
             while n % q == 0:
                 factors[q] = factors.get(q, 0) + 1
                 n //= q
         p += 6
     if n > 1:
+        if p * p <= n and not _is_prime(n):
+            raise ValueError(f"cannot factor {arg}: cofactor {n} has no "
+                             f"prime factor below {_TRIAL_BOUND}")
         factors[n] = factors.get(n, 0) + 1
     return factors
 

@@ -4,7 +4,7 @@ Provides exact coefficients for the two trigonometric representations used by
 the entropy engine, built once per spec and shared by every caller, a
 high-precision evaluator theta -> C_n(cos theta) for each, the exact
 orthonormal norm, point evaluation (exact rational or high-precision float),
-and zero finding on (-1, 1).
+and zero finding in theta on (0, pi).
 
 Representations, with x = cos(theta):
 
@@ -313,10 +313,3 @@ def zero_angles(spec: GegenbauerSpec, precision: int = DEFAULT_PRECISION) -> Lis
             raise RuntimeError(f"{spec}: {len(found)} of {n // 2} zeros in (0, pi/2)")
     with mp.workdps(precision + 10):
         return found + [mp.pi / 2] * (n % 2) + [mp.pi - t for t in reversed(found)]
-
-
-def zeros(spec: GegenbauerSpec, precision: int = DEFAULT_PRECISION) -> List[mp.mpf]:
-    """The n zeros of C_n^(lam) in (-1, 1), ascending."""
-    angles = zero_angles(spec, precision)
-    with mp.workdps(precision + 10):
-        return [mp.cos(t) for t in reversed(angles)]

@@ -22,9 +22,9 @@ from gegentropy import (ExactEntropy, GegenbauerSpec, LogLinear,
                         normalized_entropy_quadrature,
                         orthonormality_quadrature, QuadratureConfig,
                         standard_coeffs, standard_representation,
-                        szego_representation)
+                        szego_representation, zero_angles)
 from gegentropy.cli import main, round_half_even
-from gegentropy.gegenbauer import pochhammer, zeros
+from gegentropy.gegenbauer import pochhammer
 
 from reference_values import REFERENCE_LAMBDA4, REFERENCE_LAMBDA5
 
@@ -49,7 +49,7 @@ def check_reference_table(lam, rows):
             pi_part=log_linear_from(log_coeff, base) + LogLinear(constant))
         got = entropy_exact(GegenbauerSpec(lam, n))
         assert got == expected, f"lambda={lam} n={n}: exact value differs"
-        decimal = round_half_even(got.evaluate(64), 3)
+        decimal = round_half_even(got.evaluate(64))
         assert decimal == printed, \
             f"lambda={lam} n={n}: {decimal} != printed {printed}"
 
@@ -219,11 +219,11 @@ def test_criterion_8_property_suite():
                 assert table.values[0] == expected
                 assert table.values[0].is_zero() == (lam == 1 or n == 0)
 
-        # Zero count and interlacing.
+        # Zero count and interlacing, in theta: cos falls on (0, pi).
         for lam in range(0, 5):
             previous = None
             for n in range(1, 9):
-                current = zeros(GegenbauerSpec(lam, n), 50)
+                current = zero_angles(GegenbauerSpec(lam, n), 50)
                 assert len(current) == n
                 if previous is not None:
                     for i in range(n - 1):

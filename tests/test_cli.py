@@ -59,14 +59,14 @@ class TestRounding:
     def test_half_even_on_exact_ties(self):
         import mpmath as mp
         # 0.0625 = 2^-4 is exact in binary, so these really are ties.
-        assert round_half_even(mp.mpf("0.0625"), 3) == "0.062"
-        assert round_half_even(mp.mpf("0.1875"), 3) == "0.188"
-        assert round_half_even(mp.mpf("-0.0625"), 3) == "-0.062"
+        assert round_half_even(mp.mpf("0.0625")) == "0.062"
+        assert round_half_even(mp.mpf("0.1875")) == "0.188"
+        assert round_half_even(mp.mpf("-0.0625")) == "-0.062"
 
     def test_plain_rounding(self):
         import mpmath as mp
-        assert round_half_even(mp.mpf("-13.68539"), 3) == "-13.685"
-        assert round_half_even(mp.mpf(100), 3) == "100.000"
+        assert round_half_even(mp.mpf("-13.68539")) == "-13.685"
+        assert round_half_even(mp.mpf(100)) == "100.000"
 
 
 class TestEntropyCommand:
@@ -97,6 +97,22 @@ class TestEntropyCommand:
         assert record["route"] == "series-log"
         assert record["exact"]["pi_log"] == [
             {"prime": 2, "coeff": "-105/8"}, {"prime": 5, "coeff": "-105/8"}]
+
+    @pytest.mark.parametrize("fmt,calls", [("exact", 0), ("decimal", 1),
+                                           ("json", 1)])
+    def test_evaluates_only_what_it_prints(self, capsys, monkeypatch, fmt, calls):
+        # json's top-level decimal is the one inside its exact record.
+        evaluate, counted = ExactEntropy.evaluate, []
+
+        def counting(self, *args, **kwargs):
+            counted.append(self)
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExactEntropy, "evaluate", counting)
+        code, out, _ = run(capsys, "entropy", "--lambda", "4", "--n", "40",
+                           "--normalized", "--format", fmt)
+        assert code == 0 and out
+        assert len(counted) == calls
 
     def test_normalized(self, capsys):
         code, out, _ = run(capsys, "entropy", "--lambda", "1", "--n", "4",

@@ -3,18 +3,54 @@
 import copy
 import math
 import pickle
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
-from gegentropy import (ExactEntropy, LogLinear, dumps_json,
+from gegentropy import (ExactEntropy, GegenbauerSpec, LogLinear, dumps_json,
                         entropy_from_json_dict, entropy_to_json_dict,
                         log_linear_from)
 from gegentropy.exact import ZERO, factorize
+from gegentropy.gegenbauer import orthonormal_scales
 
 F = Fraction
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the test, instead of hanging, past `seconds` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except TimeoutError:
+        # No traceback: the interrupted frame can lack a line number, which
+        # pytest cannot render.
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def brute_factorize(n):
+    """Trial division by every d with d * d <= the cofactor, independent of
+    factorize."""
+    factors, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
 class TestRationalArithmetic:
@@ -61,6 +97,28 @@ class TestFactorize:
         for p in factors:
             assert factorize(p) == {p: 1}  # every key is prime
 
+    @pytest.mark.parametrize("lam,n", [(30, 300), (8, 1000), (8, 3000),
+                                       (640, 2)])
+    def test_package_log_arguments(self, lam, n):
+        # The package takes logs of C(n+lam-1, n), s2, n+1 and 2, whose prime
+        # factors lie below n + 2 lam, far under the trial-division bound.
+        s2, _ = orthonormal_scales(GegenbauerSpec(lam, n))
+        with time_limit(5):
+            for arg in (math.comb(n + lam - 1, n), s2.numerator, s2.denominator):
+                assert factorize(arg) == brute_factorize(arg)
+
+    def test_large_prime_is_its_own_factor(self):
+        with time_limit(1):
+            assert factorize(2**61 - 1) == {2**61 - 1: 1}
+
+    @pytest.mark.parametrize("n", [(2**31 - 1) ** 2,
+                                   (2**31 - 1) * (2**61 - 1)])
+    def test_composite_without_small_factor_rejected(self, n):
+        # Below psi_13 the cofactor fails Miller-Rabin; above it, it cannot be
+        # proved prime.  Either way no factorization is returned.
+        with time_limit(1), pytest.raises(ValueError, match=str(n)):
+            factorize(n)
+
 
 class TestLogLinearFrom:
     def test_log4_with_half_coefficient(self):
@@ -74,6 +132,10 @@ class TestLogLinearFrom:
     def test_log10(self):
         v = log_linear_from(F(-105, 8), 10)
         assert v.log_terms == {2: F(-105, 8), 5: F(-105, 8)}
+
+    def test_large_prime_argument(self):
+        with time_limit(1):
+            assert log_linear_from(1, 2**61 - 1) == LogLinear(0, {2**61 - 1: 1})
 
     def test_rejects_nonpositive_argument(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """README's library and CLI examples run and say what they compute."""
 
+import ast
 import json
 import re
 import shlex
@@ -13,6 +14,7 @@ import gegentropy
 from gegentropy import ExactEntropy, LogLinear, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(gegentropy.__file__).resolve().parent
 
 
 def python_block() -> str:
@@ -42,6 +44,27 @@ def test_public_names_resolve():
                          re.DOTALL).group(1)
     for name in re.findall(r"\w+", imported):
         assert name in gegentropy.__all__, name
+
+
+def test_every_public_definition_is_exported_or_used():
+    # Helpers only the tests call belong in the tests.  A reference is a
+    # name, attribute or import in the package; docstrings do not count.
+    defined, referenced = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined |= {(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unused = sorted(f"{module}.{name}" for module, name in defined
+                    if name not in gegentropy.__all__ and name not in referenced)
+    assert unused == []
 
 
 def cli_examples():
